@@ -11,7 +11,7 @@
 //               bytes written scale with the CHANGED shards, not the
 //               store);
 //   swap ms   — BatchQueryEngine::swap_store(child path) on a warm
-//               session over the parent (loads, adopts, prefetches,
+//               session over the parent (opens, adopts, maps the rest,
 //               re-prepares faults, installs the epoch);
 //   adopt/map — shards adopted from the serving generation vs freshly
 //               mapped by that swap (adopted + mapped == K).

@@ -5,10 +5,10 @@
 //                   production: a relaxed load + untaken branch) and
 //                   with an unrelated point armed (slow-path lookup
 //                   that misses);
-//   open ms       — cold strict open + prefetch of a K-shard store,
-//                   clean vs with one transient EAGAIN injected into
-//                   the first shard open (the retry-with-backoff
-//                   path);
+//   open ms       — cold strict open of a K-shard store (every shard
+//                   mapped + digest-verified), clean vs with one
+//                   transient EAGAIN injected into the first shard
+//                   open (the retry-with-backoff path);
 //   healthy µs/q  — per-query latency over a generation with one shard
 //                   quarantined, queries confined to healthy ranges
 //                   (degraded serving must not tax the live ranges);
@@ -109,14 +109,13 @@ int main(int argc, char** argv) {
                            std::to_string(::getpid()) + ".ftcm";
   core::save_sharded(*scheme, path, sz.k_shards);
 
-  // Cold strict open + full prefetch, clean.
+  // Cold strict open, clean.
   double open_clean_ms = 0.0;
   {
     bench::Timer t;
     const auto view = core::ShardedStoreView::open(path);
-    (void)view->prefetch();
     open_clean_ms = t.millis();
-    FTC_REQUIRE(view->shards_open() == sz.k_shards, "prefetch skipped shards");
+    FTC_REQUIRE(view->shards_open() == sz.k_shards, "open skipped shards");
   }
 
   // Cold open with one transient EAGAIN on the first shard open: the
@@ -127,7 +126,6 @@ int main(int argc, char** argv) {
     failpoint::Scoped fp("store.map.open", "nth:2:EAGAIN");
     bench::Timer t;
     const auto view = core::ShardedStoreView::open(path);
-    (void)view->prefetch();
     open_retry_ms = t.millis();
     FTC_REQUIRE(view->shards_open() == sz.k_shards,
                 "retry path lost a shard");
@@ -142,7 +140,6 @@ int main(int argc, char** argv) {
   const auto view = std::dynamic_pointer_cast<const core::ShardedStoreView>(
       session.scheme().store_view());
   FTC_REQUIRE(view != nullptr, "store did not load sharded");
-  (void)view->prefetch();
 
   // Truncate the last shard behind the live mapping; the first touch
   // quarantines it.
@@ -201,9 +198,8 @@ int main(int argc, char** argv) {
   table.add_row({"failpoint check (off)", bench::fmt(off_ns, "%.2f ns")});
   table.add_row(
       {"failpoint check (armed miss)", bench::fmt(armed_miss_ns, "%.2f ns")});
-  table.add_row({"cold open+prefetch", bench::fmt(open_clean_ms, "%.2f ms")});
-  table.add_row(
-      {"open+prefetch w/ retry", bench::fmt(open_retry_ms, "%.2f ms")});
+  table.add_row({"cold open", bench::fmt(open_clean_ms, "%.2f ms")});
+  table.add_row({"open w/ retry", bench::fmt(open_retry_ms, "%.2f ms")});
   table.add_row({"healthy query (degraded gen)",
                  bench::fmt(healthy_us_per_q, "%.2f us")});
   table.add_row(

@@ -1,11 +1,8 @@
 // bench_label_store: the serving-from-disk story in numbers.
 //
 // For each backend: build labels once, save() them as a container, then
-// measure the two load paths —
-//   mmap        zero-copy view (LoadMode::kMmap), optionally without the
-//               payload-checksum pass,
-//   materialize eager full deserialize into in-memory label vectors —
-// reporting cold-load latency, first-query latency (fault prep + one
+// measure the zero-copy mmap load with and without the payload-checksum
+// pass — reporting cold-load latency, first-query latency (fault prep + one
 // decode on cold caches) and steady-state sequential query throughput,
 // with every answer parity-checked against the in-memory scheme.
 //
@@ -70,9 +67,8 @@ void run_backend(core::BackendKind backend, const graph::Graph& g, unsigned f,
   const auto expected = reference.run_sequential(queries);
 
   const LoadVariant variants[] = {
-      {"mmap", {core::LoadMode::kMmap, true}},
-      {"mmap-noverify", {core::LoadMode::kMmap, false}},
-      {"materialize", {core::LoadMode::kMaterialize, true}},
+      {"mmap", {.verify_checksum = true}},
+      {"mmap-noverify", {.verify_checksum = false}},
   };
   for (const LoadVariant& variant : variants) {
     Timer load_timer;

@@ -4,20 +4,20 @@
 // For each K (shard count), against an in-process loopback
 // ShardHttpServer over the artifact's directory:
 //   cold open   — RemoteStoreView::open() with an empty cache (manifest
-//                 fetch + validation; shards stay lazy);
-//   cold pf     — prefetch() on that view (fetch + digest-verify + mmap
-//                 every shard through the cache);
+//                 fetch + validation, then every shard fetched,
+//                 digest-verified and mapped through the cache);
 //   warm open   — a second open over the now-populated cache (manifest
-//                 re-fetch, shard hits);
-//   warm pf     — prefetch() on the warm view (all cache hits, no wire);
+//                 re-fetch, shard hits, no shard bytes on the wire);
 //   cold first  — session spin-up + first query with an empty cache
-//                 (load_scheme(url), engine install prefetch, decode);
+//                 (load_scheme(url), engine install, decode);
 //   warm first  — the same over the populated cache;
 //   local/remote q/s — steady-state parallel batch throughput of
 //                 sessions over the local path vs the URL (post-warmup
 //                 these must converge: queries run on mmaps, the wire is
 //                 out of the loop).
-// Answers are spot-checked against the BFS ground truth.
+// Every K serves the same fault set and query list (one seed,
+// independent of K). Answers are spot-checked against the BFS ground
+// truth.
 //
 // Usage: bench_remote_fetch [--smoke]
 // Output: a human table, one `JSON [...]` line, and
@@ -93,9 +93,30 @@ void remove_tree(const std::string& dir) {
   ::rmdir(dir.c_str());
 }
 
+// The fixed workload every K serves: one fault set and one query list.
+struct Workload {
+  std::vector<EdgeId> faults;
+  std::vector<core::BatchQueryEngine::Query> queries;
+};
+
+Workload make_workload(const Graph& g, const Sizes& sz) {
+  SplitMix64 rng(0x9e);
+  Workload w;
+  for (unsigned i = 0; i < sz.f / 2; ++i) {
+    w.faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
+  }
+  w.queries.reserve(sz.num_queries);
+  for (std::size_t i = 0; i < sz.num_queries; ++i) {
+    w.queries.push_back(
+        {static_cast<VertexId>(rng.next_below(g.num_vertices())),
+         static_cast<VertexId>(rng.next_below(g.num_vertices()))});
+  }
+  return w;
+}
+
 void run_case(const core::ConnectivityScheme& scheme, const Graph& g,
-              unsigned k_shards, const Sizes& sz, Table& table,
-              JsonRecords& json) {
+              unsigned k_shards, const Sizes& sz, const Workload& w,
+              Table& table, JsonRecords& json) {
   ScratchDir origin("bench_remote_origin_k" + std::to_string(k_shards));
   const std::string manifest = origin.path + "/store.ftcm";
   core::save_sharded(scheme, manifest, k_shards);
@@ -114,44 +135,28 @@ void run_case(const core::ConnectivityScheme& scheme, const Graph& g,
   auto cache = std::make_shared<core::ShardCache>(cache_dir, 0);
   const auto prior_default = core::set_default_remote_cache(cache);
 
-  // Cold: empty cache — the open fetches the manifest, prefetch moves
-  // every shard over loopback and digest-verifies it.
+  // Cold: empty cache — the open fetches the manifest, then moves every
+  // shard over loopback, digest-verifies and maps it.
   Timer cold_open_timer;
   auto cold_view = core::RemoteStoreView::open(url, true, nullptr, cache);
   const double cold_open_ms = cold_open_timer.millis();
-  Timer cold_pf_timer;
-  (void)cold_view->prefetch();
-  const double cold_pf_ms = cold_pf_timer.millis();
   const std::uint64_t bytes_fetched = cache->stats().bytes_fetched;
 
   // Warm: same cache — shard bytes are already on local disk.
   Timer warm_open_timer;
   auto warm_view = core::RemoteStoreView::open(url, true, nullptr, cache);
   const double warm_open_ms = warm_open_timer.millis();
-  Timer warm_pf_timer;
-  (void)warm_view->prefetch();
-  const double warm_pf_ms = warm_pf_timer.millis();
   FTC_REQUIRE(cache->stats().bytes_fetched == bytes_fetched,
               "warm reopen re-fetched shard bytes");
   cold_view.reset();
   warm_view.reset();
 
-  SplitMix64 rng(0x9e + k_shards);
-  std::vector<EdgeId> faults;
-  for (unsigned i = 0; i < sz.f / 2; ++i) {
-    faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
-  }
+  const std::vector<EdgeId>& faults = w.faults;
+  const std::vector<core::BatchQueryEngine::Query>& queries = w.queries;
   const core::FaultSpec spec = core::FaultSpec::edges(faults);
-  std::vector<core::BatchQueryEngine::Query> queries;
-  queries.reserve(sz.num_queries);
-  for (std::size_t i = 0; i < sz.num_queries; ++i) {
-    queries.push_back(
-        {static_cast<VertexId>(rng.next_below(g.num_vertices())),
-         static_cast<VertexId>(rng.next_below(g.num_vertices()))});
-  }
 
-  // Cold session spin-up: empty cache again, so the engine's install
-  // prefetch pays the full transfer before the first answer.
+  // Cold session spin-up: empty cache again, so the open pays the full
+  // transfer before the first answer.
   const std::string cold_cache_dir = cache_dir + "_cold";
   auto cold_cache = std::make_shared<core::ShardCache>(cold_cache_dir, 0);
   (void)core::set_default_remote_cache(cold_cache);
@@ -212,8 +217,7 @@ void run_case(const core::ConnectivityScheme& scheme, const Graph& g,
   remove_tree(cache_dir);
 
   table.add_row({std::to_string(k_shards), fmt(cold_open_ms, "%.2f"),
-                 fmt(cold_pf_ms, "%.2f"), fmt(warm_open_ms, "%.2f"),
-                 fmt(warm_pf_ms, "%.2f"), fmt(cold_first_us, "%.0f"),
+                 fmt(warm_open_ms, "%.2f"), fmt(cold_first_us, "%.0f"),
                  fmt(warm_first_us, "%.0f"), fmt(local_qps, "%.0f"),
                  fmt(remote_qps, "%.0f")});
   json.add();
@@ -224,9 +228,7 @@ void run_case(const core::ConnectivityScheme& scheme, const Graph& g,
   json.field("store_bytes", store_bytes);
   json.field("bytes_fetched", bytes_fetched);
   json.field("cold_open_ms", cold_open_ms);
-  json.field("cold_prefetch_ms", cold_pf_ms);
   json.field("warm_open_ms", warm_open_ms);
-  json.field("warm_prefetch_ms", warm_pf_ms);
   json.field("cold_first_query_us", cold_first_us);
   json.field("warm_first_query_us", warm_first_us);
   json.field("batch_size", batch.size());
@@ -260,13 +262,14 @@ int main(int argc, char** argv) {
               sz.n, m, sz.f, sz.num_queries, bench::kBatchSize,
               bench::kBatchThreads, smoke ? " [smoke]" : "");
 
-  bench::Table table({"shards", "cold open ms", "cold pf ms", "warm open ms",
-                      "warm pf ms", "cold first us", "warm first us",
-                      "local q/s", "remote q/s"});
+  bench::Table table({"shards", "cold open ms", "warm open ms",
+                      "cold first us", "warm first us", "local q/s",
+                      "remote q/s"});
   bench::JsonRecords json;
   const auto scheme = core::make_scheme(g, bench::bench_config(sz.f));
+  const bench::Workload workload = bench::make_workload(g, sz);
   for (const unsigned k : shard_counts) {
-    bench::run_case(*scheme, g, k, sz, table, json);
+    bench::run_case(*scheme, g, k, sz, workload, table, json);
   }
   table.print();
   json.print("JSON");

@@ -4,20 +4,15 @@
 // the K=0 baseline:
 //   save     — artifact write time (save_sharded builds and writes the K
 //              shard containers in parallel, then the manifest);
-//   open     — cold open_store_view() on the artifact (manifest opens
-//              validate the shard table and stat every shard, but mmap
-//              nothing);
-//   first    — first query latency on a fresh session (lazy shard maps +
-//              fault-label decode amortize here);
-//   batch    — steady-state parallel batch throughput from the artifact
-//              (lazy shard opens, exactly as a cold session serves);
-//   pf       — StoreView::prefetch() cost on a fresh view (parallel shard
-//              map + digest verification + route-table resolution);
-//   pf first — first query latency on a session over the prefetched view;
-//   pf q/s   — steady-state batch throughput on the prefetched session
-//              (the route-table fast path);
-//   swap     — swap_store() latency: load_scheme on the artifact plus
-//              prefetch plus fault re-preparation plus the epoch install;
+//   open     — cold open_store_view() on the artifact (a manifest open
+//              validates the shard table, then maps + digest-verifies
+//              every shard in parallel and resolves the route table);
+//   first    — first query latency on a fresh session over that view
+//              (fault-label decode; no shard is left to map);
+//   batch    — steady-state parallel batch throughput on that session;
+//   swap     — swap_store() latency: load_scheme on the artifact (its
+//              open included) plus fault re-preparation plus the epoch
+//              install;
 //   swap q/s — batch throughput while a second thread swap_store()s the
 //              same artifact in a tight loop (serving through cut-overs).
 // Answers are spot-checked against the BFS ground truth.
@@ -142,35 +137,6 @@ void run_case(const core::ConnectivityScheme& scheme, const Graph& g,
   const double batch_qps =
       static_cast<double>(batches * batch.size()) / batch_timer.seconds();
 
-  // Prefetched serving path: a fresh view over the same artifact, warmed
-  // with prefetch() before the session's first query. For the flat
-  // container prefetch is a no-op (routes resolve at open), so these
-  // columns double as the parity target for the sharded rows.
-  auto pf_view = core::open_store_view(path);
-  Timer prefetch_timer;
-  (void)pf_view->prefetch();
-  const double prefetch_us = prefetch_timer.micros();
-
-  Timer pf_first_timer;
-  core::BatchQueryEngine pf_engine(core::load_scheme(pf_view), spec);
-  const bool pf_first = pf_engine.connected(queries[0].s, queries[0].t);
-  const double pf_first_us = pf_first_timer.micros();
-  FTC_REQUIRE(pf_first == first,
-              "prefetched session disagrees with the lazy session");
-
-  (void)pf_engine.run_parallel(batch, kBatchThreads);  // warm the pool
-  Timer pf_batch_timer;
-  std::size_t pf_batches = 0;
-  for (std::size_t r = 0; r < sz.batch_reps; ++r) {
-    (void)pf_engine.run_parallel(batch, kBatchThreads);
-    ++pf_batches;
-    if (pf_batch_timer.seconds() > 2.0 && pf_batches >= 8) break;  // time box
-  }
-  const double pf_batch_qps =
-      static_cast<double>(pf_batches * batch.size()) /
-      pf_batch_timer.seconds();
-  pf_view.reset();
-
   // Swap latency: reload the same artifact and install it as the next
   // epoch (what a production label push costs on the serving session).
   Timer swap_timer;
@@ -210,8 +176,6 @@ void run_case(const core::ConnectivityScheme& scheme, const Graph& g,
                  k_shards == 0 ? "flat" : std::to_string(k_shards),
                  fmt(save_ms, "%.1f"), fmt(open_us, "%.0f"),
                  fmt(first_us, "%.0f"), fmt(batch_qps, "%.0f"),
-                 fmt(prefetch_us, "%.0f"), fmt(pf_first_us, "%.0f"),
-                 fmt(pf_batch_qps, "%.0f"),
                  fmt(swap_us, "%.0f"), fmt(swap_qps, "%.0f")});
   json.add();
   json.field("backend", core::backend_name(scheme.backend()));
@@ -226,9 +190,6 @@ void run_case(const core::ConnectivityScheme& scheme, const Graph& g,
   json.field("batch_size", batch.size());
   json.field("batch_threads", kBatchThreads);
   json.field("batch_qps", batch_qps);
-  json.field("prefetch_us", prefetch_us);
-  json.field("prefetched_first_query_us", pf_first_us);
-  json.field("prefetched_batch_qps", pf_batch_qps);
   json.field("swap_us", swap_us);
   json.field("swapping_batch_qps", swap_qps);
   json.field("checked_queries", std::min(sz.checked, queries.size()));
@@ -265,8 +226,7 @@ int main(int argc, char** argv) {
               bench::kBatchThreads, smoke ? " [smoke]" : "");
 
   bench::Table table({"backend", "shards", "save ms", "open us", "first us",
-                      "batch q/s", "pf us", "pf first us", "pf q/s",
-                      "swap us", "swap q/s"});
+                      "batch q/s", "swap us", "swap q/s"});
   bench::JsonRecords json;
   const auto run_backend = [&](core::BackendKind b) {
     const auto scheme = core::make_scheme(g, bench::bench_config(b, sz.f));

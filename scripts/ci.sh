@@ -9,9 +9,11 @@
 #   scripts/ci.sh asan        # just the sanitizer leg
 #   scripts/ci.sh store       # fast loop: asan build + run of the label
 #                             # store / differential stress / decoder
-#                             # workspace suites only (adversarial inputs
-#                             # and the copy-on-write decoder state are
-#                             # what most need the sanitizers)
+#                             # workspace / fail-stop suites only
+#                             # (adversarial inputs, the copy-on-write
+#                             # decoder state and the capacity-exceeded
+#                             # decode paths are what most need the
+#                             # sanitizers)
 #   scripts/ci.sh store-v2    # format-v2 focused asan leg: v1 fixture
 #                             # load + v2 round-trip + vertex-fault
 #                             # parity (fault-model suites) plus an
@@ -26,11 +28,10 @@
 #                             # an end-to-end CLI exercise — shard a
 #                             # fixture store, reload it via the
 #                             # manifest, parity-check 1k queries against
-#                             # the unsharded container (lazy AND
-#                             # prefetched: all three answer streams must
+#                             # the unsharded container (4- and 7-shard
+#                             # layouts: all three answer streams must
 #                             # be byte-identical), merge back
-#                             # byte-identically, run swap-demo with and
-#                             # without --prefetch
+#                             # byte-identically, run swap-demo
 #   scripts/ci.sh store-delta # deletion-journal / delta-push leg: asan
 #                             # run of the journal + sharded + swap
 #                             # suites (the adversarial journal corpus
@@ -60,7 +61,8 @@
 #                             # (0 clean / 2 damaged)
 #   scripts/ci.sh tsan        # ThreadSanitizer leg: tsan preset build +
 #                             # run of the concurrency-heavy suites
-#                             # (sharded prefetch races, live epoch swap,
+#                             # (concurrent readers of one sharded view,
+#                             # live epoch swap,
 #                             # shard-cache fetch/evict races, parallel
 #                             # builder dispatches)
 #   scripts/ci.sh build-parallel # parallel-build determinism leg: asan
@@ -85,11 +87,11 @@ if [ "${1:-}" = "store" ]; then
   cmake --preset asan
   cmake --build --preset asan -j "$jobs" \
     --target test_label_store test_stress_differential \
-    test_decoder_workspace ftc_store
+    test_decoder_workspace test_fail_stop ftc_store
   ctest --preset asan \
-    -R 'test_label_store|test_stress_differential|test_decoder_workspace' \
+    -R 'test_label_store|test_stress_differential|test_decoder_workspace|test_fail_stop' \
     -j "$jobs"
-  echo "ci: store/stress/workspace suites green under asan"
+  echo "ci: store/stress/workspace/fail-stop suites green under asan"
   exit 0
 fi
 
@@ -166,27 +168,25 @@ if [ "${1:-}" = "store-shard" ]; then
     exit 1
   fi
   [ "$(wc -l < "$tmp/sharded.out")" = "1000" ]
-  # Prefetch parity: the warmed route-table fast path must answer
-  # byte-identically to the lazy-open path (prefetch diagnostics go to
-  # stderr, so stdout is comparable as-is).
-  build-asan/ftc_store query "$tmp/labels.ftcm" --prefetch=4 --faults 3,40 \
-    --vertex-faults 77 --pairs "$pairs" > "$tmp/prefetched.out" \
-    2> "$tmp/prefetch.log"
-  if ! cmp -s "$tmp/sharded.out" "$tmp/prefetched.out"; then
-    echo "ci: prefetched answers diverge from lazy-open answers" >&2
+  # A second layout of the same labels: 7 shards, so the ranges split
+  # unevenly and differently from the 4-shard store — the answers must
+  # still be byte-identical to the unsharded container's.
+  build-asan/ftc_store shard "$tmp/flat.ftcs" --out "$tmp/labels7.ftcm" \
+    --shards 7 >/dev/null
+  build-asan/ftc_store query "$tmp/labels7.ftcm" --faults 3,40 \
+    --vertex-faults 77 --pairs "$pairs" > "$tmp/sharded7.out"
+  if ! cmp -s "$tmp/flat.out" "$tmp/sharded7.out"; then
+    echo "ci: 7-shard store answers diverge from the unsharded store" >&2
     exit 1
   fi
-  grep -q 'prefetch: 4 shard(s) newly mapped' "$tmp/prefetch.log"
   build-asan/ftc_store inspect "$tmp/labels.ftcm" --verbose \
-    | grep -q 'route table resolved'
+    | grep -q 'shard open .* on [0-9]* threads'
   build-asan/ftc_store merge "$tmp/labels.ftcm" --out "$tmp/merged.ftcs" \
     >/dev/null
   cmp "$tmp/flat.ftcs" "$tmp/merged.ftcs"
   build-asan/ftc_store swap-demo --n 64 --m 80 --f 3 --swaps 4 \
     --queries 64 >/dev/null
-  build-asan/ftc_store swap-demo --n 64 --m 80 --f 3 --swaps 4 \
-    --queries 64 --prefetch >/dev/null 2>&1
-  echo "ci: store-shard leg green (suites + 1k-query CLI parity incl. prefetch + merge + swap-demo)"
+  echo "ci: store-shard leg green (suites + 1k-query CLI parity over 4 and 7 shards + merge + swap-demo)"
   exit 0
 fi
 
@@ -388,21 +388,19 @@ if [ "${1:-}" = "remote" ]; then
   [ "$rc" = "2" ]
   grep -q 'remote read failed' "$tmp/noretry.err"
 
-  # Degraded serving drill: drop one shard from the origin. Queries are
-  # lazy, so a cold cache still answers pairs in the healthy shards'
-  # ranges, while a pair needing the dead shard (vertex 80 lives in
-  # shard 2 of 4 over 144 vertices) gets the typed quarantine (exit 2).
-  # A warm cache keeps answering the full 1k parity stream — the origin
-  # is damaged but every shard is already local.
+  # Degraded origin drill: drop one shard from the origin. The open
+  # fetches every shard, so a cold cache refuses the store outright with
+  # the typed quarantine naming the dead shard (exit 2) — even for a
+  # pair whose labels live elsewhere. A warm cache keeps answering the
+  # full 1k parity stream — the origin is damaged but every shard is
+  # already local.
   rm "$tmp/srv/labels.ftcm.shard2.ftcs"
-  FTC_CACHE_DIR="$tmp/cache_cold2" build-asan/ftc_store query \
-    "$manifest_url" --faults 3,40 --pairs 0:1 >/dev/null
   rc=0
   FTC_CACHE_DIR="$tmp/cache_cold2" build-asan/ftc_store query \
-    "$manifest_url" --faults 3,40 --pairs 80:1 \
+    "$manifest_url" --faults 3,40 --pairs 0:1 \
     >/dev/null 2> "$tmp/degraded.err" || rc=$?
   [ "$rc" = "2" ]
-  grep -q 'quarantined' "$tmp/degraded.err"
+  grep -q 'shard 2 quarantined' "$tmp/degraded.err"
   grep -q 'remote object not found' "$tmp/degraded.err"
   FTC_CACHE_DIR="$tmp/cache" build-asan/ftc_store query "$manifest_url" \
     --faults 3,40 --vertex-faults 77 --pairs "$pairs" > "$tmp/survivor.out"
@@ -430,7 +428,7 @@ if [ "${1:-}" = "tsan" ]; then
   ctest --preset tsan \
     -R 'test_sharded_store|test_store_swap|test_shard_cache|test_parallel_build' \
     -j "$jobs"
-  echo "ci: sharded prefetch + live-swap + shard-cache + parallel-build suites green under tsan"
+  echo "ci: sharded open + live-swap + shard-cache + parallel-build suites green under tsan"
   exit 0
 fi
 
@@ -514,14 +512,13 @@ if [ "${1:-}" = "bench-smoke" ]; then
 import json, sys
 required = {
     "BENCH_decoder_hotpath.json": {"backend", "f", "single_query_us",
+                                   "seq_qps", "batch_size", "batch_threads",
                                    "batch_qps"},
     "BENCH_vertex_faults.json": {"backend", "vertex_faults",
                                  "reduced_edge_faults", "single_query_us",
                                  "batch_qps"},
     "BENCH_shard_swap.json": {"backend", "k_shards", "save_ms", "open_us",
-                              "batch_qps", "prefetch_us",
-                              "prefetched_first_query_us",
-                              "prefetched_batch_qps", "swap_us"},
+                              "first_query_us", "batch_qps", "swap_us"},
     "BENCH_delta_push.json": {"backend", "k_shards", "shards_changed",
                               "full_save_ms", "delta_push_ms",
                               "shards_written", "shards_reused",
@@ -534,8 +531,7 @@ required = {
                                    "degraded_us_per_query",
                                    "shards_quarantined"},
     "BENCH_remote_fetch.json": {"k_shards", "store_bytes", "bytes_fetched",
-                                "cold_open_ms", "cold_prefetch_ms",
-                                "warm_open_ms", "warm_prefetch_ms",
+                                "cold_open_ms", "warm_open_ms",
                                 "cold_first_query_us", "warm_first_query_us",
                                 "local_batch_qps", "remote_batch_qps"},
     "BENCH_build_scaling.json": {"family", "backend", "threads", "build_ms",
@@ -548,8 +544,17 @@ required = {
 # the recorded flag must therefore always be true — a false here means
 # the bench's own gate was bypassed.
 with open("build/BENCH_build_scaling.json") as fh:
-    assert all(r["digest_matches_serial"] for r in json.load(fh)), \
-        "parallel build digest mismatch recorded in BENCH_build_scaling.json"
+    scaling = json.load(fh)
+assert all(r["digest_matches_serial"] for r in scaling), \
+    "parallel build digest mismatch recorded in BENCH_build_scaling.json"
+# The phase split must come from the build that was timed.
+assert all(r["hierarchy_ms"] + r["sketch_ms"] <= r["build_ms"]
+           for r in scaling), \
+    "build phases exceed the timed build in BENCH_build_scaling.json"
+# The decoder's "batch" column must really fan out to its thread count.
+with open("build/BENCH_decoder_hotpath.json") as fh:
+    assert all(r["batch_threads"] == 4 for r in json.load(fh)), \
+        "bench_decoder_hotpath batch did not fan out to 4 threads"
 for path in sys.argv[1:]:
     with open(path) as fh:
         records = json.load(fh)

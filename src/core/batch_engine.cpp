@@ -98,15 +98,11 @@ BatchQueryEngine::GenerationStats BatchQueryEngine::generation_stats() const {
 
 std::uint64_t BatchQueryEngine::install(
     std::shared_ptr<const ConnectivityScheme> scheme) {
-  // Warm the incoming labels OUTSIDE the lock before anything is
-  // published: a sharded store maps + digest-verifies every shard here,
-  // in parallel, and resolves its flat route table — so the first
-  // queries on the new epoch never hit a cold lazy open (the
-  // swap-under-load collapse) and a corrupt shard fails the swap while
-  // the old generation keeps serving.
-  scheme->prefetch();
-  // Prepare the incoming generation outside the lock too (fault-label
-  // decoding is the expensive part of a swap), then publish it only if
+  // The incoming scheme's store (if any) was fully mapped and verified
+  // by its open, so a corrupt shard already failed there, with the old
+  // generation still serving. Prepare the incoming generation outside
+  // the lock (fault-label decoding is the expensive part of a swap),
+  // then publish it only if
   // the fault spec did not change underneath; a concurrent reset_faults
   // wins and the preparation is redone against the fresh spec.
   for (;;) {
@@ -134,20 +130,20 @@ std::uint64_t BatchQueryEngine::swap_store(
 }
 
 std::uint64_t BatchQueryEngine::swap_store(
-    std::shared_ptr<const StoreView> view, LoadMode mode) {
-  return install(require_scheme(load_scheme(std::move(view), mode)));
+    std::shared_ptr<const StoreView> view) {
+  return install(require_scheme(load_scheme(std::move(view))));
 }
 
 std::uint64_t BatchQueryEngine::swap_store(const std::string& path,
                                            const LoadOptions& options) {
   // Open the incoming artifact with the CURRENT generation's view as
   // the reuse source: shards whose manifest digests match stay on their
-  // existing mmaps (delta-push cut-over), so the prefetch in install()
-  // maps only the changed ones.
+  // existing mmaps (delta-push cut-over), so the open maps only the
+  // changed ones.
   const std::shared_ptr<const StoreView> current =
       snapshot()->scheme->store_view();
-  auto scheme = load_scheme(
-      open_store_view(path, options.verify_checksum, current), options.mode);
+  auto scheme =
+      load_scheme(open_store_view(path, options.verify_checksum, current));
   attach_journal_sidecar(*scheme, path, options.replay_journal);
   return install(require_scheme(std::move(scheme)));
 }

@@ -93,12 +93,10 @@ class BatchQueryEngine {
   // Parks and joins the worker pool (if one was ever started).
   ~BatchQueryEngine();
 
-  // Installs a new label generation — the zero-downtime cut-over. The
-  // incoming scheme is prefetched off-lock first (a sharded store maps
-  // and digest-verifies all shards in parallel and resolves its flat
-  // route table, so the new epoch never serves a cold lazy open; a
-  // corrupt shard throws StoreError with the old generation left fully
-  // serving). The session's fault set is then prepared against the new
+  // Installs a new label generation — the zero-downtime cut-over. A
+  // store-served scheme arrives fully mapped (its open verified every
+  // shard; a corrupt one threw StoreError there, before any swap). The
+  // session's fault set is prepared off-lock against the new
   // scheme (it must still name valid IDs there; std::invalid_argument
   // otherwise, again leaving the old generation serving), and the
   // generation is published under the next epoch. Safe to call from a
@@ -108,14 +106,13 @@ class BatchQueryEngine {
   std::uint64_t swap_store(std::unique_ptr<ConnectivityScheme> scheme);
   // Convenience: swap to labels served from an already-open store view
   // (single container or sharded manifest).
-  std::uint64_t swap_store(std::shared_ptr<const StoreView> view,
-                           LoadMode mode = LoadMode::kMmap);
+  std::uint64_t swap_store(std::shared_ptr<const StoreView> view);
   // Convenience: open the artifact at `path` and install it. When the
   // current generation serves a sharded store and the incoming manifest
   // records byte-identical shard digests (a delta push,
   // sharded_store.hpp), the matching shards' existing mmaps are ADOPTED
-  // into the new generation — prefetch inside install() maps only the
-  // changed shards, so swap cost scales with the delta, not the store.
+  // into the new generation — the open maps only the changed shards, so
+  // swap cost scales with the delta, not the store.
   // A "<path>.jrnl" deletion-journal sidecar replays onto the new
   // generation per options.replay_journal.
   std::uint64_t swap_store(const std::string& path,

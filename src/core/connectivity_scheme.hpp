@@ -104,15 +104,6 @@ class ConnectivityScheme {
   // is exactly `adjacency() != nullptr`.
   virtual const AdjacencyProvider* adjacency() const { return nullptr; }
 
-  // Warm-up hook: maps any lazily-opened label backing (the shards of a
-  // sharded store) and resolves the flat route tables, so the first
-  // query afterwards pays no cold-open cliff. threads = 0 lets the
-  // backing pick its fan-out. Idempotent, safe concurrently with
-  // queries; a no-op for in-memory schemes, whose labels are always
-  // resident. Store-served schemes forward to StoreView::prefetch and
-  // surface its typed StoreError on a corrupt backing.
-  virtual void prefetch(unsigned threads = 0) const { (void)threads; }
-
   // Validates the spec's IDs against this scheme's dimensions
   // (std::invalid_argument on out-of-range), reduces vertex faults to
   // their incident edges (CapabilityError if adjacency() is null and the

@@ -58,15 +58,6 @@ VectorAdjacency::VectorAdjacency(const graph::Graph& g) {
   }
 }
 
-VectorAdjacency::VectorAdjacency(std::vector<std::uint64_t> offsets,
-                                 std::vector<graph::EdgeId> lists)
-    : offsets_(std::move(offsets)), lists_(std::move(lists)) {
-  FTC_REQUIRE(!offsets_.empty() && offsets_.front() == 0 &&
-                  offsets_.back() == lists_.size() &&
-                  std::is_sorted(offsets_.begin(), offsets_.end()),
-              "malformed adjacency offsets");
-}
-
 std::size_t VectorAdjacency::degree(graph::VertexId v) const {
   FTC_REQUIRE(v < num_vertices(), "vertex out of range");
   return offsets_[v + 1] - offsets_[v];

@@ -113,16 +113,11 @@ class AdjacencyProvider {
                                std::vector<graph::EdgeId>& out) const = 0;
 };
 
-// Owning incidence lists in CSR layout. Built from a graph by the
-// in-memory backends, or from a decoded store adjacency section by the
-// kMaterialize load path.
+// Owning incidence lists in CSR layout, built from a graph by the
+// in-memory backends.
 class VectorAdjacency final : public AdjacencyProvider {
  public:
   explicit VectorAdjacency(const graph::Graph& g);
-  // offsets: n + 1 monotone entry offsets into lists. 64-bit like the
-  // on-disk v2 side-table: 2m entries can exceed uint32_t.
-  VectorAdjacency(std::vector<std::uint64_t> offsets,
-                  std::vector<graph::EdgeId> lists);
 
   graph::VertexId num_vertices() const override {
     return static_cast<graph::VertexId>(offsets_.size() - 1);

@@ -337,6 +337,20 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
       }
       continue;
     }
+    // A genuine decode is the boundary of fr's component: every edge has
+    // exactly one endpoint inside it. A boundary larger than k can alias
+    // to a small plausible-looking set instead; such a decode must
+    // fail-stop, not merge wrongly (or, merging nothing, loop forever).
+    const auto inside = [&](const graph::AncestryLabel& x) {
+      return uf.find(prep.loc.locate(x.tin)) == static_cast<std::size_t>(fr);
+    };
+    for (const auto& [a, b] : ws.edges) {
+      if (inside(a) == inside(b)) {
+        throw FtcCapacityError(
+            "decoded edge does not leave its component; sketch capacity "
+            "exceeded");
+      }
+    }
     for (const auto& [a, b] : ws.edges) {
       const std::size_t fa = uf.find(prep.loc.locate(a.tin));
       const std::size_t fb = uf.find(prep.loc.locate(b.tin));

@@ -5,8 +5,8 @@
 // A loaded scheme is the labeling-scheme model made literal: it holds no
 // graph and no construction state, only the label blobs, and answers
 // queries through the same universal decoders as the in-memory backends.
-// In kMmap mode the per-query cost is two 8-byte vertex-record reads from
-// the mapping — no std::vector is materialized on the query path; only
+// The per-query cost is two 8-byte vertex-record reads from the mapping —
+// no std::vector is materialized on the query path; only
 // the <= f fault-edge labels of a session are decoded, once, inside
 // prepare_faults(). The served hot path is therefore the shared one: the
 // core backend queries through PreparedFaults + the copy-on-write
@@ -735,6 +735,25 @@ void StoreView::on_mapped_fault(const void* addr) const {
       "mapped label store read faulted (backing file truncated or replaced)");
 }
 
+void StoreView::on_unrouted(std::uint64_t id, bool edge) const {
+  throw StoreError(std::string("no route to ") + (edge ? "edge " : "vertex ") +
+                   std::to_string(id));
+}
+
+std::span<const std::uint8_t> StoreView::vertex_blob(VertexId v) const {
+  FTC_REQUIRE(v < routes_.num_vertices, "vertex out of range");
+  const std::uint8_t* p = routes_.vertex_ptr[v];
+  if (p == nullptr) on_unrouted(v, /*edge=*/false);
+  return {p, store::kVertexRecordBytes};
+}
+
+std::span<const std::uint8_t> StoreView::edge_blob(EdgeId e) const {
+  FTC_REQUIRE(e < routes_.num_edges, "edge out of range");
+  const std::uint8_t* p = routes_.edge_ptr[e];
+  if (p == nullptr) on_unrouted(e, /*edge=*/true);
+  return {p, routes_.edge_blob_bytes};
+}
+
 std::shared_ptr<const LabelStoreView> LabelStoreView::open(
     const std::string& path, bool verify_checksum) {
   const store::MappedFile mapped =
@@ -932,21 +951,6 @@ std::span<const std::uint8_t> LabelStoreView::params_blob() const {
   return {map_ + params_off_, info_.params_bytes};
 }
 
-std::span<const std::uint8_t> LabelStoreView::vertex_blob(VertexId v) const {
-  FTC_REQUIRE(v < info_.num_vertices, "vertex out of range");
-  return {map_ + vertex_off_ +
-              static_cast<std::size_t>(v) * store::kVertexRecordBytes,
-          store::kVertexRecordBytes};
-}
-
-std::span<const std::uint8_t> LabelStoreView::edge_blob(EdgeId e) const {
-  // The route table was derived from (and validated against) the offset
-  // index at open — blobs are fixed-width — so this is the same span the
-  // two index reads would produce, minus the two reads.
-  FTC_REQUIRE(e < info_.num_edges, "edge out of range");
-  return {routes_.edge_ptr[e], routes_.edge_blob_bytes};
-}
-
 std::size_t LabelStoreView::adjacency_degree(VertexId v) const {
   return adj_.degree(v);
 }
@@ -1003,23 +1007,9 @@ class MappedAdjacency final : public AdjacencyProvider {
 // re-emitting the stored blobs (a loaded store round-trips bit-exactly).
 class StoredSchemeBase : public ConnectivityScheme {
  public:
-  StoredSchemeBase(std::shared_ptr<const StoreView> view, LoadMode mode)
-      : view_(std::move(view)) {
-    if (!view_->info().has_adjacency) return;
-    if (mode == LoadMode::kMaterialize) {
-      // Eager decode into owned CSR vectors.
-      std::vector<std::uint64_t> offsets;
-      std::vector<EdgeId> lists;
-      offsets.reserve(static_cast<std::size_t>(num_vertices()) + 1);
-      offsets.push_back(0);
-      lists.reserve(2 * static_cast<std::size_t>(num_edges()));
-      for (VertexId v = 0; v < num_vertices(); ++v) {
-        view_->adjacency_append(v, lists);
-        offsets.push_back(lists.size());
-      }
-      adjacency_ = std::make_unique<VectorAdjacency>(std::move(offsets),
-                                                     std::move(lists));
-    } else {
+  explicit StoredSchemeBase(std::shared_ptr<const StoreView> view)
+      : view_(std::move(view)), routes_(view_->routes()) {
+    if (view_->info().has_adjacency) {
       adjacency_ = std::make_unique<MappedAdjacency>(view_);
     }
   }
@@ -1051,12 +1041,6 @@ class StoredSchemeBase : public ConnectivityScheme {
     out.bytes(view_->edge_blob(e));
   }
 
-  // Warm-up: map every lazily-opened shard and resolve the route table,
-  // surfacing the view's typed StoreError on a corrupt backing.
-  void prefetch(unsigned threads = 0) const override {
-    view_->prefetch(threads);
-  }
-
   // The backing view, so a swap can thread the serving generation's
   // mappings through open_store_view(path, verify, reuse_from) and adopt
   // unchanged shards across a delta push.
@@ -1065,47 +1049,6 @@ class StoredSchemeBase : public ConnectivityScheme {
   }
 
  protected:
-  // Zero-copy vertex-label read: one bounds-checked 8-byte record
-  // straight from the mapping.
-  graph::AncestryLabel mapped_anc(VertexId v) const {
-    store::ByteReader r(view_->vertex_blob(v));
-    return store::decode_vertex_record(r);
-  }
-
-  // kMaterialize: pre-decode every vertex record (the record layout is
-  // backend-universal, so the cache lives here for all three schemes).
-  void materialize_vertices() {
-    vertex_cache_.reserve(num_vertices());
-    for (VertexId v = 0; v < num_vertices(); ++v) {
-      vertex_cache_.push_back(mapped_anc(v));
-    }
-  }
-
-  graph::AncestryLabel anc(VertexId v) const {
-    if (!vertex_cache_.empty()) {
-      FTC_REQUIRE(v < vertex_cache_.size(), "vertex out of range");
-      return vertex_cache_[v];
-    }
-    // Resolved-route fast path: one cached pointer load and a direct
-    // index, no virtual dispatch (and for sharded views no binary
-    // search or lazy-open check).
-    if (const store::FlatRoutes* rt = routes_.get()) {
-      FTC_REQUIRE(v < rt->num_vertices, "vertex out of range");
-      return store::decode_vertex_record_at(rt->vertex_ptr[v]);
-    }
-    return mapped_anc(v);
-  }
-
-  // Edge blob bytes through the same resolved-route fast path (used by
-  // the per-backend decode_edge helpers on prepare_faults).
-  std::span<const std::uint8_t> edge_bytes(EdgeId e) const {
-    if (const store::FlatRoutes* rt = routes_.get()) {
-      FTC_REQUIRE(e < rt->num_edges, "edge out of range");
-      return {rt->edge_ptr[e], rt->edge_blob_bytes};
-    }
-    return view_->edge_blob(e);
-  }
-
   // Both endpoint ancestry records under ONE SIGBUS guard — the only
   // mapped reads of an edge-fault query. A backing file mutated behind
   // the mapping lands in on_mapped_fault (the sharded view quarantines
@@ -1114,20 +1057,10 @@ class StoredSchemeBase : public ConnectivityScheme {
   // against the decode the query then runs.
   std::pair<graph::AncestryLabel, graph::AncestryLabel> anc_pair(
       VertexId s, VertexId t) const {
-    if (!vertex_cache_.empty()) return {anc(s), anc(t)};
-    const std::uint8_t* ps;
-    const std::uint8_t* pt;
-    if (const store::FlatRoutes* rt = routes_.get()) {
-      FTC_REQUIRE(s < rt->num_vertices, "vertex out of range");
-      FTC_REQUIRE(t < rt->num_vertices, "vertex out of range");
-      ps = rt->vertex_ptr[s];
-      pt = rt->vertex_ptr[t];
-    } else {
-      // Pre-routes path: may lazily open (and internally guard) the
-      // owning shards; only the final record reads run under our guard.
-      ps = view_->vertex_blob(s).data();
-      pt = view_->vertex_blob(t).data();
-    }
+    FTC_REQUIRE(s < routes_.num_vertices, "vertex out of range");
+    FTC_REQUIRE(t < routes_.num_vertices, "vertex out of range");
+    const std::uint8_t* ps = routes_.vertex_ptr[s];
+    const std::uint8_t* pt = routes_.vertex_ptr[t];
     util::SigbusGuard guard;
     if (sigsetjmp(guard.jump(), 0) == 0) {
       guard.arm();
@@ -1144,12 +1077,13 @@ class StoredSchemeBase : public ConnectivityScheme {
   // Prepare-time only (<= f blobs per fault set), so the copy is off
   // the per-query path.
   std::vector<std::uint8_t> copy_edge_blob(EdgeId e) const {
-    const std::span<const std::uint8_t> src = edge_bytes(e);
-    std::vector<std::uint8_t> out(src.size());
+    FTC_REQUIRE(e < routes_.num_edges, "edge out of range");
+    const std::uint8_t* src = routes_.edge_ptr[e];
+    std::vector<std::uint8_t> out(routes_.edge_blob_bytes);
     util::SigbusGuard guard;
     if (sigsetjmp(guard.jump(), 0) == 0) {
       guard.arm();
-      std::memcpy(out.data(), src.data(), src.size());
+      std::memcpy(out.data(), src, out.size());
       return out;
     }
     view_->on_mapped_fault(guard.fault_addr());
@@ -1157,25 +1091,19 @@ class StoredSchemeBase : public ConnectivityScheme {
   }
 
   std::shared_ptr<const StoreView> view_;
-  detail::RouteCache routes_{*view_};  // after view_: init order matters
-  std::vector<graph::AncestryLabel> vertex_cache_;  // kMaterialize only
-  std::unique_ptr<AdjacencyProvider> adjacency_;    // null: v1 container
+  // Bound once: load_scheme() refuses views with null entries, so the
+  // hot path reads it unchecked.
+  const store::FlatRoutes& routes_;
+  std::unique_ptr<AdjacencyProvider> adjacency_;  // null: v1 container
 };
 
 class StoredCoreScheme final : public StoredSchemeBase {
  public:
-  StoredCoreScheme(std::shared_ptr<const StoreView> view, LoadMode mode)
-      : StoredSchemeBase(std::move(view), mode) {
+  explicit StoredCoreScheme(std::shared_ptr<const StoreView> view)
+      : StoredSchemeBase(std::move(view)) {
     store::ByteReader pr(view_->params_blob());
     params_ = store::decode_core_params(pr, view_->info().format_version,
                                         &level_bounds_);
-    if (mode == LoadMode::kMaterialize) {
-      materialize_vertices();
-      edge_cache_.reserve(num_edges());
-      for (EdgeId e = 0; e < num_edges(); ++e) {
-        edge_cache_.push_back(decode_edge(e));
-      }
-    }
   }
 
   BackendKind backend() const override { return BackendKind::kCoreFtc; }
@@ -1198,7 +1126,7 @@ class StoredCoreScheme final : public StoredSchemeBase {
     std::vector<EdgeLabel> labels;
     labels.reserve(edge_faults.size());
     for (const EdgeId e : edge_faults) {
-      labels.push_back(edge_cache_.empty() ? decode_edge(e) : edge_cache_[e]);
+      labels.push_back(decode_edge(e));
     }
     // v2 containers carry the builder's per-level population bounds, so
     // store-served decodes run the same shrunken windows.
@@ -1229,22 +1157,14 @@ class StoredCoreScheme final : public StoredSchemeBase {
 
   LabelParams params_;
   std::vector<std::uint32_t> level_bounds_;  // empty for v1 containers
-  std::vector<EdgeLabel> edge_cache_;        // kMaterialize only
 };
 
 class StoredCycleScheme final : public StoredSchemeBase {
  public:
-  StoredCycleScheme(std::shared_ptr<const StoreView> view, LoadMode mode)
-      : StoredSchemeBase(std::move(view), mode) {
+  explicit StoredCycleScheme(std::shared_ptr<const StoreView> view)
+      : StoredSchemeBase(std::move(view)) {
     store::ByteReader pr(view_->params_blob());
     params_ = store::decode_cycle_params(pr);
-    if (mode == LoadMode::kMaterialize) {
-      materialize_vertices();
-      edge_cache_.reserve(num_edges());
-      for (EdgeId e = 0; e < num_edges(); ++e) {
-        edge_cache_.push_back(decode_edge(e));
-      }
-    }
   }
 
   BackendKind backend() const override {
@@ -1261,7 +1181,7 @@ class StoredCycleScheme final : public StoredSchemeBase {
     std::vector<dp21::CsEdgeLabel> labels;
     labels.reserve(edge_faults.size());
     for (const EdgeId e : edge_faults) {
-      labels.push_back(edge_cache_.empty() ? decode_edge(e) : edge_cache_[e]);
+      labels.push_back(decode_edge(e));
     }
     return std::make_unique<CycleStoredFaults>(
         dp21::CycleSpaceFtc::Prepared::prepare(labels), labels.size());
@@ -1286,22 +1206,14 @@ class StoredCycleScheme final : public StoredSchemeBase {
   }
 
   store::CycleParams params_;
-  std::vector<dp21::CsEdgeLabel> edge_cache_;  // kMaterialize only
 };
 
 class StoredAgmScheme final : public StoredSchemeBase {
  public:
-  StoredAgmScheme(std::shared_ptr<const StoreView> view, LoadMode mode)
-      : StoredSchemeBase(std::move(view), mode) {
+  explicit StoredAgmScheme(std::shared_ptr<const StoreView> view)
+      : StoredSchemeBase(std::move(view)) {
     store::ByteReader pr(view_->params_blob());
     params_ = store::decode_agm_params(pr);
-    if (mode == LoadMode::kMaterialize) {
-      materialize_vertices();
-      edge_cache_.reserve(num_edges());
-      for (EdgeId e = 0; e < num_edges(); ++e) {
-        edge_cache_.push_back(decode_edge(e));
-      }
-    }
   }
 
   BackendKind backend() const override { return BackendKind::kDp21Agm; }
@@ -1316,7 +1228,7 @@ class StoredAgmScheme final : public StoredSchemeBase {
     std::vector<dp21::AgmEdgeLabel> labels;
     labels.reserve(edge_faults.size());
     for (const EdgeId e : edge_faults) {
-      labels.push_back(edge_cache_.empty() ? decode_edge(e) : edge_cache_[e]);
+      labels.push_back(decode_edge(e));
     }
     return std::make_unique<AgmStoredFaults>(
         dp21::AgmFtc::Prepared::prepare(labels), labels.size());
@@ -1343,21 +1255,21 @@ class StoredAgmScheme final : public StoredSchemeBase {
   }
 
   store::AgmParams params_;
-  std::vector<dp21::AgmEdgeLabel> edge_cache_;  // kMaterialize only
 };
 
 }  // namespace
 
 std::unique_ptr<ConnectivityScheme> load_scheme(
-    std::shared_ptr<const StoreView> view, LoadMode mode) {
+    std::shared_ptr<const StoreView> view) {
   FTC_REQUIRE(view != nullptr, "null label store view");
+  view->require_complete();
   switch (view->info().backend) {
     case BackendKind::kCoreFtc:
-      return std::make_unique<StoredCoreScheme>(std::move(view), mode);
+      return std::make_unique<StoredCoreScheme>(std::move(view));
     case BackendKind::kDp21CycleSpace:
-      return std::make_unique<StoredCycleScheme>(std::move(view), mode);
+      return std::make_unique<StoredCycleScheme>(std::move(view));
     case BackendKind::kDp21Agm:
-      return std::make_unique<StoredAgmScheme>(std::move(view), mode);
+      return std::make_unique<StoredAgmScheme>(std::move(view));
   }
   FTC_CHECK(false, "unknown BackendKind in validated store");
   return nullptr;  // unreachable
@@ -1367,8 +1279,7 @@ std::unique_ptr<ConnectivityScheme> load_scheme(const std::string& path,
                                                 const LoadOptions& options) {
   // open_store_view dispatches on the magic: single containers and
   // sharded manifests load through the same StoreView interface.
-  auto scheme = load_scheme(open_store_view(path, options.verify_checksum),
-                            options.mode);
+  auto scheme = load_scheme(open_store_view(path, options.verify_checksum));
   // Fold a "<path>.jrnl" deletion-journal sidecar into the session
   // (journal.hpp): journaled deletions then behave as implicit faults in
   // every query until the store is rebuilt or compacted away.

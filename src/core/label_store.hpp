@@ -257,16 +257,15 @@ StoreLabelBits derive_label_bits(BackendKind backend,
                                  std::span<const std::uint8_t> params,
                                  std::uint32_t version);
 
-// Generation-resolved flat route table: one pointer per vertex record
-// and per edge blob, straight into the (already open and validated)
-// mapping(s). Resolving routing ONCE — at container open for a flat
-// store, or when the last shard of a sharded store is mapped — replaces
-// the per-query virtual dispatch + binary-search + lazy-open check with
-// a single array deref, so a K-shard store serves at flat-container
-// speed. Pointers stay valid for the lifetime of the StoreView that
-// published the table. Cost is 16 bytes per ID; a page-granular variant
-// (shard+offset per fixed-size ID page) is the follow-on if that ever
-// dominates label bytes.
+// Flat route table: one pointer per vertex record and per edge blob,
+// straight into the (already open and validated) mapping(s). Every view
+// resolves it once, at open — for a sharded store after every shard is
+// mapped — so a label read is a single array deref at flat-container
+// speed whatever the shard count. Pointers stay valid for the lifetime
+// of the StoreView that built the table. A null entry marks a shard
+// open_degraded() quarantined (sharded_store.hpp). Cost is 16 bytes per
+// ID; a page-granular variant (shard+offset per fixed-size ID page) is
+// the follow-on if that ever dominates label bytes.
 struct FlatRoutes {
   graph::VertexId num_vertices = 0;
   graph::EdgeId num_edges = 0;
@@ -275,20 +274,18 @@ struct FlatRoutes {
   std::vector<const std::uint8_t*> edge_ptr;    // [m] label blobs
 };
 
-// What one prefetch() call did: thread fan-out, wall time, and the
-// per-shard map+digest cost (empty for single-container views; 0 for a
-// shard that was already mapped when the call claimed it).
+// What the eager shard open of a sharded view did: thread fan-out, wall
+// time, and the per-shard map+digest cost (all empty for a
+// single-container view, which has no shards).
 struct PrefetchStats {
   unsigned threads = 1;
   double total_us = 0.0;
-  std::size_t shards_opened = 0;  // newly mapped by this call
-  // Shards this view ADOPTED from a previous-generation view at open()
-  // instead of mapping — byte-identical shards of a delta push
-  // (open_store_view's reuse_from parameter). Constant per view, reported
-  // by every prefetch() call on it; such shards never count in
-  // shards_opened.
+  std::size_t shards_opened = 0;  // mapped and verified by the open
+  // Shards the view ADOPTED from a previous-generation view instead of
+  // mapping — byte-identical shards of a delta push (open_store_view's
+  // reuse_from parameter). Such shards never count in shards_opened.
   std::size_t shards_adopted = 0;
-  std::vector<double> shard_us;  // per shard, manifest order
+  std::vector<double> shard_us;  // per shard, manifest order; 0 if adopted
 };
 
 // The CSR adjacency side-table layout shared by container v2 and the
@@ -456,33 +453,32 @@ class StoreView {
 
   const StoreInfo& info() const { return info_; }
   virtual std::span<const std::uint8_t> params_blob() const = 0;
-  virtual std::span<const std::uint8_t> vertex_blob(
-      graph::VertexId v) const = 0;
-  virtual std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const = 0;
+  // Zero-copy label reads through routes(). A read into a shard that
+  // open_degraded() quarantined throws DegradedError naming its ranges.
+  std::span<const std::uint8_t> vertex_blob(graph::VertexId v) const;
+  std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const;
 
   // Adjacency side-table reads (valid only when info().has_adjacency).
   virtual std::size_t adjacency_degree(graph::VertexId v) const = 0;
   virtual void adjacency_append(graph::VertexId v,
                                 std::vector<graph::EdgeId>& out) const = 0;
 
-  // Maps and digest-verifies any lazily-opened backing (every shard of a
-  // sharded view) so nothing cold remains on the query path, and
-  // publishes the flat route table. threads = 0 picks min(shards,
-  // hardware concurrency); work is stolen over shard indices. Idempotent
-  // and safe to call concurrently with queries and with lazy first-touch
-  // opens; a corrupt shard throws the same typed StoreError the lazy
-  // open would. Single-container views are fully mapped and validated at
-  // open(), so the base implementation is a no-op.
-  virtual store::PrefetchStats prefetch(unsigned threads = 0) const {
+  // The flat route table, resolved by open(); lives as long as this view.
+  const store::FlatRoutes& routes() const { return routes_; }
+
+  // Does no work: open() already mapped and digest-verified every shard.
+  // Returns what that eager open recorded; `threads` is ignored. Kept so
+  // callers written against the old lazy open keep compiling.
+  store::PrefetchStats prefetch(unsigned threads = 0) const {
     (void)threads;
-    return {};
+    return open_stats_;
   }
 
-  // The resolved flat route table, or nullptr while part of the backing
-  // is still unmapped (a sharded view before prefetch() or before every
-  // shard has been lazily touched). Never reverts to nullptr once
-  // published; the table lives as long as this view.
-  virtual const store::FlatRoutes* routes() const { return nullptr; }
+  // Throws DegradedError when open_degraded() quarantined part of this
+  // view. Such a view still answers vertex_blob/edge_blob over its
+  // healthy ranges, but load_scheme() refuses it, so the scheme hot path
+  // never meets a null route entry. No-op for a complete view.
+  virtual void require_complete() const {}
 
   // Translates a SIGBUS caught inside this view's registered mappings:
   // guarded reads (query-path ancestry reads, prepare-time blob copies)
@@ -494,7 +490,14 @@ class StoreView {
 
  protected:
   StoreView() = default;
+
+  // A read hit a null route entry (`edge` selects the ID space). Only a
+  // degraded sharded view has those; it throws DegradedError.
+  [[noreturn]] virtual void on_unrouted(std::uint64_t id, bool edge) const;
+
   StoreInfo info_;
+  store::FlatRoutes routes_;
+  store::PrefetchStats open_stats_;
 };
 
 // Read-only mmap view of a single container file. open() validates the
@@ -512,19 +515,12 @@ class LabelStoreView final : public StoreView {
   ~LabelStoreView() override;
 
   std::span<const std::uint8_t> params_blob() const override;
-  std::span<const std::uint8_t> vertex_blob(graph::VertexId v) const override;
-  std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const override;
 
   // Adjacency side-table reads (valid only when info().has_adjacency;
   // offsets were validated monotone and in-range at open).
   std::size_t adjacency_degree(graph::VertexId v) const override;
   void adjacency_append(graph::VertexId v,
                         std::vector<graph::EdgeId>& out) const override;
-
-  // A single container is mapped, validated and route-resolved entirely
-  // at open(): prefetch has nothing left to do and routes() is always
-  // available.
-  const store::FlatRoutes* routes() const override { return &routes_; }
 
   [[noreturn]] void on_mapped_fault(const void* addr) const override;
 
@@ -545,22 +541,12 @@ class LabelStoreView final : public StoreView {
   std::size_t index_off_ = 0;
   std::size_t blob_off_ = 0;
   store::CsrAdjacency adj_;  // base == nullptr when no adjacency section
-  store::FlatRoutes routes_;  // built at open (the index walk is O(m) anyway)
 };
 
-// How load_scheme materializes a store:
-//  kMmap        — zero-copy: vertex labels are decoded on the fly from
-//                 the mapping (8-byte reads, no allocation) and only the
-//                 fault-edge labels of a session are ever materialized.
-//  kMaterialize — eager full deserialize of every label into in-memory
-//                 vectors (the classical load path; bench baseline).
-enum class LoadMode {
-  kMmap = 0,
-  kMaterialize = 1,
-};
-
+// Every store is served zero-copy from its mapping: vertex labels are
+// decoded on the fly (8-byte reads, no allocation) and only the
+// fault-edge labels of a session are ever materialized.
 struct LoadOptions {
-  LoadMode mode = LoadMode::kMmap;
   bool verify_checksum = true;
   // When a "<path>.jrnl" deletion-journal sidecar exists next to the
   // store (journal.hpp), fold its journaled deletions into every query's
@@ -599,8 +585,9 @@ std::unique_ptr<ConnectivityScheme> load_scheme(const std::string& path,
                                                 const LoadOptions& options = {});
 
 // Same, over an already-open view (shares the mapping; several schemes
-// and threads may serve from one view).
+// and threads may serve from one view). Throws DegradedError for a view
+// open_degraded() left incomplete (StoreView::require_complete).
 std::unique_ptr<ConnectivityScheme> load_scheme(
-    std::shared_ptr<const StoreView> view, LoadMode mode = LoadMode::kMmap);
+    std::shared_ptr<const StoreView> view);
 
 }  // namespace ftc::core

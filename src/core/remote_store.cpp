@@ -4,11 +4,12 @@
 // parks a verbatim copy in the shard cache, and runs the ordinary
 // manifest reader over it — so a remote manifest gets every structural
 // check a local one does, including the payload checksum over the
-// transferred bytes. Shards stay lazy: the shard_local_path() override
-// routes each first touch through ShardCache::fetch_shard(), and from
-// there on the shard is a local mmap like any other. All the
-// serving-tier machinery above (retry, quarantine, DegradedError,
-// FlatRoutes, swap_store adoption) is inherited unchanged.
+// transferred bytes. The open then maps every shard through the
+// map_shard() override, which fetches it via ShardCache::map_shard();
+// from there on the shard is a local mmap like any other. All the
+// serving-tier machinery above (the eager open, retry, quarantine,
+// DegradedError, FlatRoutes, swap_store adoption) is inherited
+// unchanged.
 #include "core/sharded_store.hpp"
 
 #include <thread>
@@ -79,15 +80,16 @@ std::shared_ptr<const RemoteStoreView> RemoteStoreView::open(
   view->cache_ = std::move(cache);
   view->source_ = std::move(source);
   open_impl(view, local_manifest, verify_checksum, reuse_from,
-            /*tolerate_missing_shards=*/false, /*stat_shards=*/false);
+            /*degraded=*/false, /*stat_shards=*/false);
   // Error messages and journal validation should name the origin, not
   // the cache copy the manifest reader happened to map.
   view->path_ = url;
   return view;
 }
 
-std::string RemoteStoreView::shard_local_path(std::size_t k) const {
-  return cache_->fetch_shard(*source_, records_[k]);
+std::shared_ptr<const LabelStoreView> RemoteStoreView::map_shard(
+    std::size_t k) const {
+  return cache_->map_shard(*source_, records_[k], verify_checksum_);
 }
 
 std::string RemoteStoreView::shard_display_name(std::size_t k) const {

@@ -7,37 +7,12 @@
 // Not part of the public API surface.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <utility>
 
 #include "core/connectivity_scheme.hpp"
-#include "core/label_store.hpp"
 
 namespace ftc::core::detail {
-
-// Caches the owning view's resolved flat route table so the per-query
-// hot path pays one acquire load + direct index instead of a virtual
-// call per label read. A view publishes its FlatRoutes at most once and
-// never retracts it (label_store.hpp), so caching the pointer is safe:
-// until publication get() keeps asking the view (a sharded store may
-// resolve routes mid-serve, via prefetch() or the last lazy open).
-class RouteCache {
- public:
-  explicit RouteCache(const StoreView& view) : view_(&view) {}
-
-  const store::FlatRoutes* get() const {
-    const store::FlatRoutes* rt = cached_.load(std::memory_order_acquire);
-    if (rt != nullptr) return rt;
-    rt = view_->routes();
-    if (rt != nullptr) cached_.store(rt, std::memory_order_release);
-    return rt;
-  }
-
- private:
-  const StoreView* view_;
-  mutable std::atomic<const store::FlatRoutes*> cached_{nullptr};
-};
 
 // Immutable fault-set adapter: the backend's prepared session state plus
 // the deduplicated fault-edge count reported through num_faults().

@@ -108,7 +108,7 @@ void ShardCache::evict_locked(const std::string& keep) {
   if (max_bytes_ == 0) return;
   auto it = lru_.begin();
   while (resident_bytes_ > max_bytes_ && it != lru_.end()) {
-    if (it->key == keep) {
+    if (it->key == keep || pinned_.count(it->key) != 0) {
       ++it;
       continue;
     }
@@ -206,6 +206,30 @@ std::string ShardCache::fetch_shard(const ShardSource& source,
     evict_locked(key);
   }
   return path;
+}
+
+std::shared_ptr<const LabelStoreView> ShardCache::map_shard(
+    const ShardSource& source, const store::ShardRecord& rec,
+    bool verify_checksum) {
+  const std::string key = shard_key(rec);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pinned_.insert(key);
+  }
+  const auto unpin = [&] {
+    std::lock_guard<std::mutex> lock(mu_);
+    pinned_.erase(pinned_.find(key));
+    evict_locked(key);
+  };
+  try {
+    auto view =
+        LabelStoreView::open(fetch_shard(source, rec), verify_checksum);
+    unpin();
+    return view;
+  } catch (...) {
+    unpin();
+    throw;
+  }
 }
 
 std::string ShardCache::put_blob(const std::string& stem,

@@ -78,6 +78,15 @@ class ShardCache {
   std::string fetch_shard(const ShardSource& source,
                           const store::ShardRecord& rec);
 
+  // fetch_shard + LabelStoreView::open, with the shard pinned against
+  // eviction in between: a concurrent fetch that pushes the cache over
+  // budget cannot unlink the file before it is mapped. Once mapped, the
+  // bytes live as long as the returned view (see eviction above); the
+  // unpin then evicts down to budget, keeping this shard as the MRU.
+  std::shared_ptr<const LabelStoreView> map_shard(
+      const ShardSource& source, const store::ShardRecord& rec,
+      bool verify_checksum);
+
   // Stores an arbitrary verified blob (manifest, journal sidecar) under
   // a content-addressed name derived from `stem` and the blob digest.
   // Not LRU-tracked — these are tiny metadata files, and evicting a
@@ -107,8 +116,9 @@ class ShardCache {
   // Moves key to the MRU end (touching its atime on disk) — caller
   // holds mu_.
   void touch_locked(std::unordered_map<std::string, LruList::iterator>::iterator it);
-  // Unlinks LRU entries until resident <= budget; `keep` is never
-  // evicted (the path being returned right now). Caller holds mu_.
+  // Unlinks LRU entries until resident <= budget; `keep` and pinned
+  // keys are never evicted (the path being returned right now, or being
+  // mapped by map_shard). Caller holds mu_.
   void evict_locked(const std::string& keep);
 
   std::string dir_;            // includes trailing slash
@@ -117,6 +127,7 @@ class ShardCache {
   mutable std::mutex mu_;
   std::condition_variable inflight_cv_;
   std::set<std::string> inflight_;                 // keys being fetched
+  std::multiset<std::string> pinned_;              // keys being mapped
   LruList lru_;                                    // front = LRU, back = MRU
   std::unordered_map<std::string, LruList::iterator> index_;
   std::uint64_t resident_bytes_ = 0;

@@ -2,12 +2,11 @@
 // the manifest-routed ShardedStoreView, and the magic-dispatching
 // open_store_view() entry point.
 //
-// The split is by contiguous vertex/edge ranges so the manifest's range
-// index is two sorted arrays and a lookup is one branchless-ish binary
-// search — the offset-index layout inside each shard is exactly the
-// single-container one, so the per-shard read path is byte-for-byte the
-// code LabelStoreView already runs. Shards open lazily: a view that only
-// ever serves queries touching one shard maps one shard.
+// The split is by contiguous vertex/edge ranges, and the layout inside
+// each shard is exactly the single-container one, so opening a shard is
+// byte-for-byte the code LabelStoreView already runs. The view opens
+// every shard eagerly and splices their route tables into one, so a
+// label read never asks which shard holds it.
 #include "core/sharded_store.hpp"
 
 #include <fcntl.h>
@@ -166,6 +165,20 @@ ReuseResult stage_shard_reuse(const std::string& src, const std::string& dst,
   return errno == EXDEV || errno == EPERM ? ReuseResult::kLinkFailedFallback
                                           : ReuseResult::kNoSource;
 }
+
+// The parent side of a delta push needs the manifest's records, epoch
+// and digest, not the K shard mappings a full open would make.
+// Structural validation runs in full; the payload FNV pass is skipped —
+// the checksum VALUE is what chains.
+class ManifestReader final : public ShardedStoreView {
+ public:
+  static std::shared_ptr<ShardedStoreView> read(const std::string& path) {
+    std::shared_ptr<ShardedStoreView> view(new ManifestReader());
+    read_manifest(view, path, /*verify_checksum=*/false, /*degraded=*/false,
+                  /*stat_shards=*/true);
+    return view;
+  }
+};
 
 DeltaPushStats save_sharded_impl(const ConnectivityScheme& scheme,
                                  const std::string& manifest_path,
@@ -407,10 +420,8 @@ DeltaPushStats save_sharded_delta(const ConnectivityScheme& scheme,
                                   unsigned num_shards) {
   // Snapshot the parent BEFORE producing any child byte: records (the
   // content addresses), its payload checksum (the child's parent
-  // digest), and its epoch. Structural validation runs in full; the
-  // payload FNV pass is skipped — the checksum VALUE is what chains.
-  const auto parent_view =
-      ShardedStoreView::open(parent_manifest_path, /*verify_checksum=*/false);
+  // digest), and its epoch.
+  const auto parent_view = ManifestReader::read(parent_manifest_path);
   ParentManifest parent;
   parent.dir = split_path(parent_manifest_path).first;
   const auto precs = parent_view->shards();
@@ -432,24 +443,33 @@ std::shared_ptr<const ShardedStoreView> ShardedStoreView::open(
     const std::string& path, bool verify_checksum,
     const std::shared_ptr<const ShardedStoreView>& reuse_from) {
   std::shared_ptr<ShardedStoreView> view(new ShardedStoreView());
-  open_impl(view, path, verify_checksum, reuse_from,
-            /*tolerate_missing_shards=*/false, /*stat_shards=*/true);
+  open_impl(view, path, verify_checksum, reuse_from, /*degraded=*/false,
+            /*stat_shards=*/true);
   return view;
 }
 
 std::shared_ptr<const ShardedStoreView> ShardedStoreView::open_degraded(
     const std::string& path, bool verify_checksum) {
   std::shared_ptr<ShardedStoreView> view(new ShardedStoreView());
-  open_impl(view, path, verify_checksum, nullptr,
-            /*tolerate_missing_shards=*/true, /*stat_shards=*/true);
+  open_impl(view, path, verify_checksum, nullptr, /*degraded=*/true,
+            /*stat_shards=*/true);
   return view;
 }
 
 void ShardedStoreView::open_impl(
     const std::shared_ptr<ShardedStoreView>& view, const std::string& path,
     bool verify_checksum,
-    const std::shared_ptr<const ShardedStoreView>& reuse_from,
-    bool tolerate_missing_shards, bool stat_shards) {
+    const std::shared_ptr<const ShardedStoreView>& reuse_from, bool degraded,
+    bool stat_shards) {
+  read_manifest(view, path, verify_checksum, degraded, stat_shards);
+  if (reuse_from != nullptr) view->adopt_shards(*reuse_from);
+  view->open_shards(degraded);
+  view->resolve_routes();
+}
+
+void ShardedStoreView::read_manifest(
+    const std::shared_ptr<ShardedStoreView>& view, const std::string& path,
+    bool verify_checksum, bool degraded, bool stat_shards) {
   const store::MappedFile mapped = store::map_readonly(
       path, store::kManifestHeaderBytesV1, "store manifest");
   const std::size_t size = mapped.size;
@@ -640,10 +660,11 @@ void ShardedStoreView::open_impl(
   });
   info.vertex_label_bits = bits.vertex_label_bits;
   info.edge_label_bits = bits.edge_label_bits;
+  view->routes_.edge_blob_bytes = blob_bytes;
 
-  // Every shard file must already exist with exactly the recorded size;
-  // mapping and full validation stay lazy. open_degraded() turns a
-  // failed stat into a quarantine (applied below, once the quarantine
+  // Every shard file must already exist with exactly the recorded size
+  // (open_shards() maps and fully validates them). open_degraded() turns
+  // a failed stat into a quarantine (applied below, once the quarantine
   // arrays exist) so the healthy ranges still come up. A remote open
   // (stat_shards == false) skips the check — the shards have no local
   // file until fetched; the manifest's recorded sizes stand in for the
@@ -672,7 +693,7 @@ void ShardedStoreView::open_impl(
       info.file_bytes += static_cast<std::size_t>(rec.file_bytes);
       continue;
     }
-    if (!tolerate_missing_shards) throw StoreError(why);
+    if (!degraded) throw StoreError(why);
     dead_shards.emplace_back(k, std::move(why));
   }
 
@@ -686,15 +707,12 @@ void ShardedStoreView::open_impl(
   info.edge_blob_bytes = static_cast<std::size_t>(info.num_edges) * blob_bytes;
 
   view->shard_views_.resize(info.num_shards);
-  view->opened_ = std::make_unique<std::atomic<bool>[]>(info.num_shards);
   view->quarantined_ = std::make_unique<std::atomic<bool>[]>(info.num_shards);
   view->quarantine_reasons_.resize(info.num_shards);
   for (std::uint32_t k = 0; k < info.num_shards; ++k) {
-    view->opened_[k].store(false, std::memory_order_relaxed);
     view->quarantined_[k].store(false, std::memory_order_relaxed);
   }
   for (const auto& [k, why] : dead_shards) view->quarantine_shard(k, why);
-  if (reuse_from != nullptr) view->adopt_shards(*reuse_from);
 }
 
 void ShardedStoreView::adopt_shards(const ShardedStoreView& parent) {
@@ -702,9 +720,9 @@ void ShardedStoreView::adopt_shards(const ShardedStoreView& parent) {
   // content address (payload digest + exact size — byte-identical files)
   // and ID extents, the backends agree, the params blobs are
   // byte-identical (the new manifest's per-shard params cross-check is
-  // subsumed), and the parent has actually mapped it. Adopted slots
-  // share the parent's LabelStoreView — its mmap stays alive through the
-  // shared_ptr even after the parent view is retired.
+  // subsumed), and the parent's shard is mapped and not quarantined.
+  // Adopted slots share the parent's LabelStoreView — its mmap stays
+  // alive through the shared_ptr even after the parent view is retired.
   if (parent.info_.backend != info_.backend) return;
   const auto pp = parent.params_blob();
   const auto np = params_blob();
@@ -722,21 +740,20 @@ void ShardedStoreView::adopt_shards(const ShardedStoreView& parent) {
           prec.edge_end - prec.edge_begin != rec.edge_end - rec.edge_begin) {
         continue;
       }
-      if (!parent.opened_[j].load(std::memory_order_acquire)) continue;
+      if (parent.shard_views_[j] == nullptr ||
+          parent.quarantined_[j].load(std::memory_order_acquire)) {
+        continue;
+      }
       shard_views_[k] = parent.shard_views_[j];
-      opened_[k].store(true, std::memory_order_release);
-      ++open_count_;
       ++adopted_count_;
       break;
     }
   }
-  // Adopting every shard (a zero-delta republish) resolves routing
-  // immediately; open() still has exclusive access, so no lock.
-  if (open_count_ == records_.size()) resolve_routes();
 }
 
-std::string ShardedStoreView::shard_local_path(std::size_t k) const {
-  return dir_ + records_[k].name;
+std::shared_ptr<const LabelStoreView> ShardedStoreView::map_shard(
+    std::size_t k) const {
+  return LabelStoreView::open(dir_ + records_[k].name, verify_checksum_);
 }
 
 std::string ShardedStoreView::shard_display_name(std::size_t k) const {
@@ -746,11 +763,11 @@ std::string ShardedStoreView::shard_display_name(std::size_t k) const {
 std::shared_ptr<const LabelStoreView> ShardedStoreView::open_shard_once(
     std::size_t k) const {
   const store::ShardRecord& rec = records_[k];
-  // The transport seam: the base class resolves to the file next to the
+  // The transport seam: the base class maps the file next to the
   // manifest; a remote view fetches through the cache here (and may
   // throw the transport's StoreIoError, retried by open_shard).
-  const std::string shard_path = shard_local_path(k);
-  auto v = LabelStoreView::open(shard_path, verify_checksum_);
+  auto v = map_shard(k);
+  const std::string& shard_path = v->path();
   const StoreInfo& si = v->info();
   if (si.backend != info_.backend ||
       si.num_vertices != rec.vertex_end - rec.vertex_begin ||
@@ -798,8 +815,6 @@ std::shared_ptr<const LabelStoreView> ShardedStoreView::open_shard(
       if (policy.max_backoff.count() > 0 && backoff > policy.max_backoff) {
         backoff = policy.max_backoff;
       }
-    } catch (const DegradedError&) {
-      throw;  // a racing opener already quarantined this shard
     } catch (const StoreError& e) {
       quarantine_shard(k, e.what());
       throw_degraded(k);
@@ -858,16 +873,10 @@ void ShardedStoreView::verify_shard(std::size_t k) const {
 }
 
 void ShardedStoreView::on_mapped_fault(const void* addr) const {
-  // Attribute the fault to the shard whose live mapping covers it. The
-  // snapshot under mutex_ is cheap (K shared_ptr copies) and only runs
-  // on the already-catastrophic path.
-  std::vector<std::shared_ptr<const LabelStoreView>> views;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    views = shard_views_;
-  }
-  for (std::size_t k = 0; k < views.size(); ++k) {
-    if (views[k] != nullptr && views[k]->contains(addr)) {
+  // Attribute the fault to the shard whose live mapping covers it
+  // (shard_views_ is immutable after open, so no lock).
+  for (std::size_t k = 0; k < shard_views_.size(); ++k) {
+    if (shard_views_[k] != nullptr && shard_views_[k]->contains(addr)) {
       quarantine_shard(k, "mapped read faulted (file truncated or replaced "
                           "behind the mapping): " + shard_display_name(k));
       throw_degraded(k);
@@ -878,182 +887,108 @@ void ShardedStoreView::on_mapped_fault(const void* addr) const {
       "mapping): " + path_);
 }
 
-bool ShardedStoreView::publish_shard(
-    std::size_t k, std::shared_ptr<const LabelStoreView> v) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (opened_[k].load(std::memory_order_relaxed)) return false;  // racer won
-  shard_views_[k] = std::move(v);
-  opened_[k].store(true, std::memory_order_release);
-  if (++open_count_ < records_.size()) return true;
-  resolve_routes();
-  return true;
+void ShardedStoreView::on_unrouted(std::uint64_t id, bool edge) const {
+  // Error path only: find the shard whose range holds id.
+  for (std::size_t k = 0; k < records_.size(); ++k) {
+    if (id < (edge ? records_[k].edge_end : records_[k].vertex_end)) {
+      throw_degraded(k);
+    }
+  }
+  StoreView::on_unrouted(id, edge);
 }
 
-void ShardedStoreView::resolve_routes() const {
-  // Last shard in: resolve routing once. Every shard container already
-  // built its own flat table at open, so the global one is a splice —
-  // per-ID pointers are absolute, only the array positions shift by the
-  // manifest ranges. Published with a release store; queries that loaded
-  // nullptr a moment ago keep using the per-shard path, bit-identically.
-  auto routes = std::make_unique<store::FlatRoutes>();
-  routes->num_vertices = info_.num_vertices;
-  routes->num_edges = info_.num_edges;
-  routes->vertex_ptr.reserve(info_.num_vertices);
-  routes->edge_ptr.reserve(info_.num_edges);
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const store::FlatRoutes* sub = shard_views_[i]->routes();
-    FTC_CHECK(sub != nullptr, "shard container missing its route table");
-    routes->edge_blob_bytes = sub->edge_blob_bytes;
-    routes->vertex_ptr.insert(routes->vertex_ptr.end(),
-                              sub->vertex_ptr.begin(), sub->vertex_ptr.end());
-    routes->edge_ptr.insert(routes->edge_ptr.end(), sub->edge_ptr.begin(),
-                            sub->edge_ptr.end());
+void ShardedStoreView::require_complete() const {
+  for (std::size_t k = 0; k < shard_views_.size(); ++k) {
+    if (shard_views_[k] == nullptr) throw_degraded(k);
   }
-  FTC_CHECK(routes->vertex_ptr.size() == info_.num_vertices &&
-                routes->edge_ptr.size() == info_.num_edges,
+}
+
+void ShardedStoreView::resolve_routes() {
+  // Every shard container built its own flat table at open, so the
+  // global one is a splice — per-ID pointers are absolute, only the
+  // array positions shift by the manifest ranges. A quarantined shard
+  // contributes null entries over its ranges.
+  routes_.num_vertices = info_.num_vertices;
+  routes_.num_edges = info_.num_edges;
+  routes_.vertex_ptr.reserve(info_.num_vertices);
+  routes_.edge_ptr.reserve(info_.num_edges);
+  for (std::size_t k = 0; k < records_.size(); ++k) {
+    const store::ShardRecord& rec = records_[k];
+    if (shard_views_[k] == nullptr) {
+      routes_.vertex_ptr.resize(rec.vertex_end, nullptr);
+      routes_.edge_ptr.resize(rec.edge_end, nullptr);
+      continue;
+    }
+    const store::FlatRoutes& sub = shard_views_[k]->routes();
+    routes_.vertex_ptr.insert(routes_.vertex_ptr.end(),
+                              sub.vertex_ptr.begin(), sub.vertex_ptr.end());
+    routes_.edge_ptr.insert(routes_.edge_ptr.end(), sub.edge_ptr.begin(),
+                            sub.edge_ptr.end());
+  }
+  FTC_CHECK(routes_.vertex_ptr.size() == info_.num_vertices &&
+                routes_.edge_ptr.size() == info_.num_edges,
             "spliced route table does not tile the store");
-  routes_storage_ = std::move(routes);
-  routes_ptr_.store(routes_storage_.get(), std::memory_order_release);
 }
 
-const LabelStoreView& ShardedStoreView::shard(std::size_t k) const {
-  // Lazy open with the mmap + validation OUTSIDE the lock, so cold
-  // first-touch opens of different shards proceed in parallel. Racing
-  // opens of the SAME shard both validate and the first publisher wins
-  // (the loser's mapping is discarded); slot k is written exactly once,
-  // and the release store publishes it to lock-free readers.
-  if (!opened_[k].load(std::memory_order_acquire)) {
-    if (quarantined_[k].load(std::memory_order_acquire)) throw_degraded(k);
-    publish_shard(k, open_shard(k));
-  }
-  return *shard_views_[k];
-}
-
-store::PrefetchStats ShardedStoreView::prefetch(unsigned threads) const {
+void ShardedStoreView::open_shards(bool degraded) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t num_shards = records_.size();
-  store::PrefetchStats stats;
+  store::PrefetchStats& stats = open_stats_;
   stats.shard_us.assign(num_shards, 0.0);
+  stats.shards_adopted = adopted_count_;
 
   // Work-stealing over shard indices (the save_sharded writer pattern):
-  // every worker pulls the next unclaimed shard, maps + digest-verifies
-  // it outside any lock, and publishes through the same slot discipline
-  // as the lazy path — so prefetch composes safely with concurrent
-  // queries and with itself.
+  // every worker pulls the next unclaimed shard and maps + verifies it
+  // into its own slot. The view is not shared yet, so slots need no lock.
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> opened{0};
   std::mutex error_mutex;
   std::exception_ptr error;
   const auto worker = [&] {
     for (;;) {
       const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
       if (k >= num_shards) return;
-      if (opened_[k].load(std::memory_order_acquire)) continue;
+      if (shard_views_[k] != nullptr ||
+          quarantined_[k].load(std::memory_order_relaxed)) {
+        continue;  // adopted, or quarantined by open_degraded's stat
+      }
       try {
-        if (quarantined_[k].load(std::memory_order_acquire)) {
-          throw_degraded(k);
-        }
         const auto s0 = std::chrono::steady_clock::now();
-        auto v = open_shard(k);
-        stats.shard_us[k] =
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - s0)
-                .count();
-        if (publish_shard(k, std::move(v))) {
-          opened.fetch_add(1, std::memory_order_relaxed);
-        }
+        shard_views_[k] = open_shard(k);
+        stats.shard_us[k] = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - s0)
+                                .count();
       } catch (...) {
-        // Record the first failure but keep draining the queue: every
-        // other shard still opens, so a single bad shard degrades its
-        // own range instead of aborting the whole prefetch (swap_store
-        // keeps the old generation serving when this rethrows below).
+        // open_shard quarantined k (unless something untyped escaped).
+        // Keep draining so a degraded open still maps every healthy
+        // shard; a strict one rethrows below.
+        if (degraded && quarantined_[k].load(std::memory_order_relaxed)) {
+          continue;
+        }
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!error) error = std::current_exception();
       }
     }
   };
 
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(num_shards, 1)));
+  const auto threads = static_cast<unsigned>(std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()),
+      std::max<std::size_t>(num_shards - adopted_count_, 1)));
   stats.threads = threads;
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (unsigned w = 1; w < threads; ++w) pool.emplace_back(worker);
-    worker();
-    for (std::thread& t : pool) t.join();
-  }
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  for (unsigned w = 1; w < threads; ++w) pool.emplace_back(worker);
+  worker();
+  for (std::thread& t : pool) t.join();
   if (error) std::rethrow_exception(error);
 
-  stats.shards_opened = opened.load(std::memory_order_relaxed);
-  stats.shards_adopted = adopted_count_;
+  stats.shards_opened = shards_open() - adopted_count_;
   stats.total_us = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
-  return stats;
-}
-
-std::size_t ShardedStoreView::shard_of_vertex(VertexId v) const {
-  FTC_REQUIRE(v < info_.num_vertices, "vertex out of range");
-  // Last shard whose vertex_begin <= v; the tiling invariant makes it
-  // the unique shard with vertex_begin <= v < vertex_end.
-  std::size_t lo = 0;
-  std::size_t hi = records_.size();
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (records_[mid].vertex_begin <= v) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-std::size_t ShardedStoreView::shard_of_edge(EdgeId e) const {
-  FTC_REQUIRE(e < info_.num_edges, "edge out of range");
-  std::size_t lo = 0;
-  std::size_t hi = records_.size();
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (records_[mid].edge_begin <= e) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
 }
 
 std::span<const std::uint8_t> ShardedStoreView::params_blob() const {
   return {map_ + params_off_, info_.params_bytes};
-}
-
-std::span<const std::uint8_t> ShardedStoreView::vertex_blob(
-    VertexId v) const {
-  // Once the global route table is published, a lookup is one acquire
-  // load and a direct index — no binary search, no shard indirection.
-  if (const store::FlatRoutes* rt = routes()) {
-    FTC_REQUIRE(v < rt->num_vertices, "vertex out of range");
-    return {rt->vertex_ptr[v], store::kVertexRecordBytes};
-  }
-  const std::size_t k = shard_of_vertex(v);
-  return shard(k).vertex_blob(
-      static_cast<VertexId>(v - records_[k].vertex_begin));
-}
-
-std::span<const std::uint8_t> ShardedStoreView::edge_blob(EdgeId e) const {
-  if (const store::FlatRoutes* rt = routes()) {
-    FTC_REQUIRE(e < rt->num_edges, "edge out of range");
-    return {rt->edge_ptr[e], rt->edge_blob_bytes};
-  }
-  const std::size_t k = shard_of_edge(e);
-  return shard(k).edge_blob(static_cast<EdgeId>(e - records_[k].edge_begin));
 }
 
 std::size_t ShardedStoreView::adjacency_degree(VertexId v) const {
@@ -1066,11 +1001,9 @@ void ShardedStoreView::adjacency_append(VertexId v,
 }
 
 std::size_t ShardedStoreView::shards_open() const {
-  std::size_t count = 0;
-  for (std::size_t k = 0; k < records_.size(); ++k) {
-    if (opened_[k].load(std::memory_order_acquire)) ++count;
-  }
-  return count;
+  return static_cast<std::size_t>(
+      std::count_if(shard_views_.begin(), shard_views_.end(),
+                    [](const auto& v) { return v != nullptr; }));
 }
 
 // ------------------------------------------------------------------

@@ -70,11 +70,11 @@
 // dimension ranges, and the shard table — ranges must tile [0, n) and
 // [0, m) exactly (no overlap, no gap), names must be relative paths
 // without ".." segments, and every shard file must exist with exactly
-// the recorded size. Shards themselves are mmapped LAZILY, on the first
-// lookup that routes into them; at that point the shard is opened with
+// the recorded size. The open then maps every shard, in parallel, with
 // the full container-v2 validation plus the manifest cross-checks
-// (backend, range dimensions, byte-identical params blob, digest). Any
-// mismatch throws the typed StoreError.
+// (backend, range dimensions, byte-identical params blob, digest), and
+// resolves the flat route table before returning. Any mismatch throws
+// the typed StoreError.
 #pragma once
 
 #include <atomic>
@@ -234,78 +234,62 @@ DeltaPushStats save_sharded_delta(const ConnectivityScheme& scheme,
                                   const std::string& parent_manifest_path,
                                   unsigned num_shards = 0);
 
-// Manifest-routed StoreView over K lazily-opened shard containers.
-// vertex_blob/edge_blob binary-search the range index and forward to the
-// owning shard, mmapping it on first touch (thread-safe; concurrent
-// queries may race to open the same shard and one open wins). Adjacency
-// reads come from the manifest's own side-table. info() aggregates the
-// whole store: file_bytes spans manifest plus shards, num_shards > 0.
+// Manifest-routed StoreView over K shard containers, all mapped and
+// digest-verified by open() (in parallel), which then splices their
+// route tables into one — a read is a single array deref, whatever K.
+// Adjacency reads come from the manifest's own side-table. info()
+// aggregates the whole store: file_bytes spans manifest plus shards,
+// num_shards > 0.
 //
-// Subclassable at exactly one seam: shard_local_path() resolves shard k
-// to a local file the container opener can mmap. The base class reads
-// next to the manifest — the local-directory transport today's opens
-// always were. RemoteStoreView overrides it to pull the shard through a
-// ShardSource into the digest-verified ShardCache first; everything
-// else (lazy opens, retry, quarantine, routes, adoption) is shared.
+// Subclassable at exactly one seam: map_shard() maps shard k. The base
+// class maps the file next to the manifest — the local-directory
+// transport. RemoteStoreView overrides it to pull the shard through a
+// ShardSource into the digest-verified ShardCache first; everything else
+// (the eager open, retry, quarantine, routes, adoption) is shared.
 class ShardedStoreView : public StoreView {
  public:
   // Maps and validates the manifest (structure always; the manifest
-  // payload FNV pass only when verify_checksum). Shard files are
-  // stat-checked here (existence + exact size) but mapped lazily;
-  // verify_checksum also governs the per-shard payload pass at first
-  // touch. When reuse_from names a previous-generation view of the same
-  // backend with a byte-identical params blob, shards whose manifest
-  // records match one of the parent's (payload digest, file size, and
-  // ID extents) AND are already open there are ADOPTED: the new view
-  // shares the parent's shard mapping, the slot counts as open, and
-  // only genuinely changed shards are left for lazy opens / prefetch —
-  // the serving half of a delta push.
+  // payload FNV pass only when verify_checksum), then opens every shard
+  // on min(hardware concurrency, K) workers: map, validate, cross-check
+  // against the manifest, and (verify_checksum) digest-verify. Transient
+  // failures retry under default_retry_policy(); any shard that still
+  // fails makes the open throw. When reuse_from names a previous-
+  // generation view of the same backend with a byte-identical params
+  // blob, shards whose manifest records match one of the parent's
+  // (payload digest, file size, and ID extents) are ADOPTED instead of
+  // mapped: the new view shares the parent's shard mapping, so only
+  // genuinely changed shards are opened — the serving half of a delta
+  // push. prefetch() reports what the open did.
   static std::shared_ptr<const ShardedStoreView> open(
       const std::string& path, bool verify_checksum = true,
       const std::shared_ptr<const ShardedStoreView>& reuse_from = nullptr);
 
-  // Like open(), but a shard file that is missing or has the wrong size
-  // QUARANTINES that shard instead of failing the whole open — the fsck
-  // / incident-response entry point: the manifest itself must still be
-  // fully valid, but a store with damaged shard files opens and serves
-  // every healthy range (queries into the dead ranges throw
-  // DegradedError). Serving swaps keep using the strict open() so a
-  // damaged generation never replaces a healthy one.
+  // Like open(), but a shard that is missing, has the wrong size, or
+  // fails to open QUARANTINES that shard instead of failing the whole
+  // open — the fsck / incident-response entry point: the manifest itself
+  // must still be fully valid. The view answers vertex_blob/edge_blob
+  // over every healthy range and throws DegradedError for the dead ones;
+  // load_scheme() refuses it (require_complete). Serving swaps keep
+  // using the strict open() so a damaged generation never replaces a
+  // healthy one.
   static std::shared_ptr<const ShardedStoreView> open_degraded(
       const std::string& path, bool verify_checksum = true);
 
   ~ShardedStoreView() override;
 
   std::span<const std::uint8_t> params_blob() const override;
-  std::span<const std::uint8_t> vertex_blob(graph::VertexId v) const override;
-  std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const override;
   std::size_t adjacency_degree(graph::VertexId v) const override;
   void adjacency_append(graph::VertexId v,
                         std::vector<graph::EdgeId>& out) const override;
-
-  // Maps + digest-verifies every still-unmapped shard in parallel
-  // (work-stealing over shard indices, the same thread pattern as
-  // save_sharded's writers) and publishes the flat route table, so the
-  // first-touch cliff and the lazy double-checked open leave the query
-  // path entirely. Idempotent; safe concurrently with queries, with lazy
-  // first-touch opens, and with other prefetch calls. A shard that fails
-  // validation throws the same typed StoreError a lazy open would (the
-  // first failure wins; already-published shards stay served).
-  store::PrefetchStats prefetch(unsigned threads = 0) const override;
-
-  // Non-null once every shard is mapped — after prefetch(), or once lazy
-  // traffic has touched all K shards.
-  const store::FlatRoutes* routes() const override {
-    return routes_ptr_.load(std::memory_order_acquire);
-  }
+  void require_complete() const override;
 
   // Manifest metadata, for inspection tooling.
   std::span<const store::ShardRecord> shards() const { return records_; }
-  // Number of shards actually mmapped so far (lazy-open observability).
+  // Number of shards mapped: K, less any open_degraded() quarantined.
   // Adopted shards count as open.
   std::size_t shards_open() const;
   // Shards adopted from reuse_from at open() (constant per view; also
-  // reported in every PrefetchStats from this view).
+  // reported in prefetch()).
   std::size_t shards_adopted() const { return adopted_count_; }
 
   // Degraded-serving observability: quarantined shard count and the full
@@ -327,30 +311,40 @@ class ShardedStoreView : public StoreView {
  protected:
   ShardedStoreView() = default;
 
-  // Resolves shard k to a local file path LabelStoreView::open can
-  // mmap. Called on the lazy first-touch / prefetch / verify paths,
-  // outside any lock; may block (a remote override fetches here) and
-  // may throw StoreIoError (transient, retried) or StoreError
-  // (structural, quarantines). Base: the file named by the manifest
-  // record, next to the manifest.
-  virtual std::string shard_local_path(std::size_t k) const;
+  // Names the shard owning the null route entry and throws its
+  // DegradedError.
+  [[noreturn]] void on_unrouted(std::uint64_t id, bool edge) const override;
+
+  // Maps shard k's container with LabelStoreView::open (before the
+  // manifest cross-checks). Called from the open's workers and from
+  // verify_shard; may block (a remote override fetches here) and may
+  // throw StoreIoError (transient, retried) or StoreError (structural,
+  // quarantines). Base: the file named by the manifest record, next to
+  // the manifest.
+  virtual std::shared_ptr<const LabelStoreView> map_shard(
+      std::size_t k) const;
   // Names shard k in quarantine reasons and fault reports WITHOUT side
-  // effects — never fetches. Base: the same path shard_local_path
-  // returns; remote: the origin URL.
+  // effects — never fetches. Base: the file map_shard() maps; remote:
+  // the origin URL.
   virtual std::string shard_display_name(std::size_t k) const;
 
   // Shared body of open() / open_degraded() / RemoteStoreView::open():
-  // maps + validates the manifest at `path` and populates the
-  // caller-allocated `view` (which may be a subclass instance).
-  // tolerate_missing_shards turns shard stat failures into quarantines
-  // instead of throws; stat_shards=false skips the local existence
-  // check entirely (remote shards have no local file until fetched —
-  // info().file_bytes then trusts the manifest's recorded sizes).
+  // read_manifest(), adopt_shards() from reuse_from, open_shards(), then
+  // resolve_routes(). `view` is caller-allocated (it may be a subclass
+  // instance). degraded turns shard failures into quarantines instead
+  // of throws; stat_shards=false skips the local existence check (remote
+  // shards have no local file until fetched — info().file_bytes then
+  // trusts the manifest's recorded sizes).
   static void open_impl(
       const std::shared_ptr<ShardedStoreView>& view, const std::string& path,
       bool verify_checksum,
       const std::shared_ptr<const ShardedStoreView>& reuse_from,
-      bool tolerate_missing_shards, bool stat_shards);
+      bool degraded, bool stat_shards);
+  // Maps + validates the manifest at `path` into `view` and stat-checks
+  // the shard files; maps no shard.
+  static void read_manifest(const std::shared_ptr<ShardedStoreView>& view,
+                            const std::string& path, bool verify_checksum,
+                            bool degraded, bool stat_shards);
 
   // Opens and validates shard k against the manifest (full container
   // validation + cross-checks), one attempt. Throws StoreError /
@@ -360,27 +354,20 @@ class ShardedStoreView : public StoreView {
   // (StoreIoError) failures retry with backoff; exhausted retries and
   // validation failures quarantine the shard and throw DegradedError.
   std::shared_ptr<const LabelStoreView> open_shard(std::size_t k) const;
+  // Open-time only (exclusive access): opens every shard not adopted or
+  // quarantined, work-stealing over shard indices, and records
+  // open_stats_. Strict: rethrows the first failure once every worker
+  // has drained.
+  void open_shards(bool degraded);
   // Marks shard k unservable and remembers why (first reason wins).
   void quarantine_shard(std::size_t k, const std::string& reason) const;
   [[noreturn]] void throw_degraded(std::size_t k) const;
-  // Returns shard k, opening it on first touch (open_shard runs outside
-  // the slot lock; racing opens of one shard let the first win).
-  const LabelStoreView& shard(std::size_t k) const;
-  // Publishes an opened shard into slot k under mutex_; returns false
-  // when a racing open published first. When the last slot fills,
-  // splices the shards' per-container route tables into the global one
-  // and publishes routes_ptr_.
-  bool publish_shard(std::size_t k,
-                     std::shared_ptr<const LabelStoreView> v) const;
-  // Splices the K per-shard route tables into the global one and
-  // publishes routes_ptr_. Callers must hold mutex_ or have exclusive
-  // access (open-time adoption, before the view is shared).
-  void resolve_routes() const;
-  // Open-time only (exclusive access): adopt byte-identical, already-
-  // open shards from a previous-generation view of the same store.
+  // Open-time only: splices the K per-shard route tables into routes_,
+  // leaving null entries over quarantined shards.
+  void resolve_routes();
+  // Open-time only: adopt byte-identical, open and healthy shards from a
+  // previous-generation view of the same store.
   void adopt_shards(const ShardedStoreView& parent);
-  std::size_t shard_of_vertex(graph::VertexId v) const;
-  std::size_t shard_of_edge(graph::EdgeId e) const;
 
   const std::uint8_t* map_ = nullptr;  // manifest file
   std::size_t map_bytes_ = 0;
@@ -391,22 +378,17 @@ class ShardedStoreView : public StoreView {
   bool verify_checksum_ = true;
   std::vector<store::ShardRecord> records_;
 
-  // Lazy shard slots: slot k is written exactly once under mutex_ and
-  // read lock-free afterwards through an acquire load of opened_[k].
+  // Shard k's mapping, written once by open() and immutable afterwards;
+  // null only for a shard open_degraded() quarantined.
+  std::vector<std::shared_ptr<const LabelStoreView>> shard_views_;
+  // Quarantine state: flag read lock-free, reasons guarded by mutex_.
+  // Sticky for the life of the view — a repaired file is picked up by
+  // the next generation's swap, not by un-quarantining. A SIGBUS
+  // quarantines a mapped shard at serve time (on_mapped_fault).
   mutable std::mutex mutex_;
-  mutable std::vector<std::shared_ptr<const LabelStoreView>> shard_views_;
-  mutable std::unique_ptr<std::atomic<bool>[]> opened_;
-  mutable std::size_t open_count_ = 0;  // slots published, guarded by mutex_
-  // Quarantine state: flag read lock-free on the routing path, reasons
-  // guarded by mutex_. Sticky for the life of the view — a repaired file
-  // is picked up by the next generation's swap, not by un-quarantining.
   mutable std::unique_ptr<std::atomic<bool>[]> quarantined_;
   mutable std::vector<std::string> quarantine_reasons_;  // guarded by mutex_
-  std::size_t adopted_count_ = 0;       // set once at open()
-  // Global flat route table, built once under mutex_ when open_count_
-  // reaches K and then read lock-free through routes_ptr_.
-  mutable std::unique_ptr<store::FlatRoutes> routes_storage_;
-  mutable std::atomic<const store::FlatRoutes*> routes_ptr_{nullptr};
+  std::size_t adopted_count_ = 0;  // set once at open()
 };
 
 class ShardSource;  // core/shard_source.hpp
@@ -415,8 +397,8 @@ class ShardCache;   // core/shard_cache.hpp
 // A sharded store served from an http:// manifest URL. The manifest is
 // fetched (with retry under default_retry_policy()), verified and
 // parked in the shard cache, then parsed by the ordinary manifest
-// reader; shards are fetched through the cache on first touch — a warm
-// cache makes a remote open byte-for-byte the local lazy-open path.
+// reader; the open then fetches every shard through the cache — a warm
+// cache makes a remote open byte-for-byte the local open.
 // Everything above this class (FlatRoutes, BatchQueryEngine,
 // swap_store adoption, quarantine/degraded serving, journal sidecars)
 // is unchanged: open_store_view() dispatches URLs here, so callers
@@ -436,7 +418,8 @@ class RemoteStoreView final : public ShardedStoreView {
   const std::shared_ptr<ShardCache>& cache() const { return cache_; }
 
  protected:
-  std::string shard_local_path(std::size_t k) const override;
+  std::shared_ptr<const LabelStoreView> map_shard(
+      std::size_t k) const override;
   std::string shard_display_name(std::size_t k) const override;
 
  private:

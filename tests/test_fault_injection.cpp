@@ -102,6 +102,38 @@ class ScopedRetryPolicy {
   RetryPolicy saved_;
 };
 
+// A local sharded view whose shard `bad` fails to map with a transient
+// StoreIoError its first `failures` times — a fault aimed at exactly one
+// shard, through the same map_shard() seam the remote tier overrides.
+class FlakyShardView final : public ShardedStoreView {
+ public:
+  static std::shared_ptr<const FlakyShardView> open(const std::string& path,
+                                                    std::size_t bad,
+                                                    int failures,
+                                                    bool degraded) {
+    std::shared_ptr<FlakyShardView> view(new FlakyShardView(bad, failures));
+    open_impl(view, path, /*verify_checksum=*/true, nullptr, degraded,
+              /*stat_shards=*/true);
+    return view;
+  }
+
+ protected:
+  std::shared_ptr<const LabelStoreView> map_shard(
+      std::size_t k) const override {
+    if (k == bad_ && failures_left_.fetch_sub(1) > 0) {
+      throw StoreIoError("injected transient map failure");
+    }
+    return ShardedStoreView::map_shard(k);
+  }
+
+ private:
+  FlakyShardView(std::size_t bad, int failures)
+      : bad_(bad), failures_left_(failures) {}
+
+  std::size_t bad_;
+  mutable std::atomic<int> failures_left_;
+};
+
 std::size_t count_open_fds() {
   std::size_t n = 0;
   for ([[maybe_unused]] const auto& e :
@@ -288,13 +320,14 @@ TEST(FaultInjection, TransientOpenFailureRetriesAndServes) {
   const auto scheme = make_scheme(g, test_config(2));
   save_sharded(*scheme, manifest.path(), 4);
 
+  // Hit 1 maps the manifest; hit 2 is the first shard map, which fails
+  // transiently — the retry must succeed without quarantining anything.
+  failpoint::Scoped fp("store.map.open", "nth:2:EAGAIN");
   const auto view = ShardedStoreView::open(manifest.path());
-  // First open attempt of the first touched shard fails transiently;
-  // the retry must succeed without quarantining anything.
-  failpoint::Scoped fp("store.map.open", "nth:1:EAGAIN");
-  (void)view->vertex_blob(0);
+  EXPECT_EQ(fp.hits(), 6u);  // manifest + 4 shards + 1 retry
   EXPECT_EQ(view->shards_quarantined(), 0u);
-  EXPECT_EQ(view->shards_open(), 1u);
+  EXPECT_EQ(view->shards_open(), 4u);
+  (void)view->vertex_blob(0);
 }
 
 TEST(FaultInjection, ExhaustedRetriesQuarantineExactlyThatShard) {
@@ -304,53 +337,75 @@ TEST(FaultInjection, ExhaustedRetriesQuarantineExactlyThatShard) {
   const auto scheme = make_scheme(g, test_config(2));
   save_sharded(*scheme, manifest.path(), 4);
 
-  const auto view = ShardedStoreView::open(manifest.path());
-  const auto recs = view->shards();
-  // Route a read into shard 2 while every open fails persistently.
-  const VertexId damaged_v = static_cast<VertexId>(recs[2].vertex_begin);
-  {
-    failpoint::Scoped fp("store.map.open", "always:EIO");
-    try {
-      (void)view->vertex_blob(damaged_v);
-      FAIL() << "expected DegradedError";
-    } catch (const DegradedError& e) {
-      EXPECT_EQ(e.shard, 2u);
-      EXPECT_EQ(e.vertex_begin, recs[2].vertex_begin);
-      EXPECT_EQ(e.vertex_end, recs[2].vertex_end);
-      EXPECT_EQ(e.edge_begin, recs[2].edge_begin);
-      EXPECT_EQ(e.edge_end, recs[2].edge_end);
-    }
+  // Shard 2 fails transiently one time more than the retry budget: the
+  // strict open refuses the store, naming exactly that shard.
+  const auto expect_shard2 = [](const DegradedError& e,
+                                const store::ShardRecord& rec) {
+    EXPECT_EQ(e.shard, 2u);
+    EXPECT_EQ(e.vertex_begin, rec.vertex_begin);
+    EXPECT_EQ(e.vertex_end, rec.vertex_end);
+    EXPECT_EQ(e.edge_begin, rec.edge_begin);
+    EXPECT_EQ(e.edge_end, rec.edge_end);
+  };
+  try {
+    (void)FlakyShardView::open(manifest.path(), 2, 2, /*degraded=*/false);
+    FAIL() << "expected DegradedError";
+  } catch (const DegradedError& e) {
+    expect_shard2(e, ShardedStoreView::open(manifest.path())->shards()[2]);
   }
-  // Quarantine is sticky even after the fault clears (repair = next
-  // generation), and names exactly one shard.
-  EXPECT_THROW((void)view->vertex_blob(damaged_v), DegradedError);
+
+  // The degraded open quarantines it and maps the other three.
+  const auto view =
+      FlakyShardView::open(manifest.path(), 2, 2, /*degraded=*/true);
+  const auto recs = view->shards();
+  const VertexId damaged_v = static_cast<VertexId>(recs[2].vertex_begin);
+  try {
+    (void)view->vertex_blob(damaged_v);
+    FAIL() << "expected DegradedError";
+  } catch (const DegradedError& e) {
+    expect_shard2(e, recs[2]);
+  }
+  // Quarantine is sticky (repair = next generation) and names exactly
+  // one shard.
+  EXPECT_THROW((void)view->edge_blob(static_cast<EdgeId>(recs[2].edge_begin)),
+               DegradedError);
   EXPECT_EQ(view->shards_quarantined(), 1u);
   const auto report = view->quarantine_report();
   ASSERT_EQ(report.size(), 1u);
   EXPECT_EQ(report[0].shard, 2u);
-  EXPECT_FALSE(report[0].reason.empty());
+  EXPECT_NE(report[0].reason.find("after 2 attempts"), std::string::npos);
   // Every other shard still serves.
   (void)view->vertex_blob(0);
   (void)view->vertex_blob(static_cast<VertexId>(recs[1].vertex_begin));
   (void)view->vertex_blob(static_cast<VertexId>(recs[3].vertex_begin));
   EXPECT_EQ(view->shards_open(), 3u);
+  // One retry fewer and the same shard recovers.
+  const auto healed =
+      FlakyShardView::open(manifest.path(), 2, 1, /*degraded=*/false);
+  EXPECT_EQ(healed->shards_open(), 4u);
 }
 
-TEST(FaultInjection, PrefetchKeepsOpeningPastAFailedShard) {
+TEST(FaultInjection, OpenKeepsMappingPastAFailedShard) {
   ScopedRetryPolicy retry({1, std::chrono::microseconds(1), 2.0});
-  ManifestFile manifest("prefetch_continue");
+  ManifestFile manifest("open_continue");
   const Graph g = graph::random_connected(64, 160, 5);
   const auto scheme = make_scheme(g, test_config(2));
   save_sharded(*scheme, manifest.path(), 4);
 
-  const auto view = ShardedStoreView::open(manifest.path());
-  failpoint::Scoped fp("store.map.open", "nth:1:EIO");
-  // Single-threaded prefetch: shard 0's open fails and quarantines, the
-  // other three must still be mapped before the error is rethrown.
-  EXPECT_THROW((void)view->prefetch(1), DegradedError);
+  // Hit 2 is the first shard map (hit 1 the manifest). The strict open
+  // refuses the store ...
+  {
+    failpoint::Scoped fp("store.map.open", "nth:2:EIO");
+    EXPECT_THROW((void)ShardedStoreView::open(manifest.path()),
+                 DegradedError);
+  }
+  // ... while the degraded open quarantines that one shard and still
+  // maps the other three.
+  failpoint::Scoped fp("store.map.open", "nth:2:EIO");
+  const auto view = ShardedStoreView::open_degraded(manifest.path());
   EXPECT_EQ(view->shards_open(), 3u);
   EXPECT_EQ(view->shards_quarantined(), 1u);
-  EXPECT_EQ(view->quarantine_report()[0].shard, 0u);
+  EXPECT_THROW((void)load_scheme(view), DegradedError);
 }
 
 TEST(FaultInjection, FailedSwapLeavesOldGenerationServing) {
@@ -404,9 +459,8 @@ TEST(FaultInjection, TruncatedShardBehindLiveGenerationDegradesTyped) {
   const auto view = std::dynamic_pointer_cast<const ShardedStoreView>(
       session.scheme().store_view());
   ASSERT_NE(view, nullptr);
-  // Map every shard up front (the ctor only opens the shards the fault
-  // labels touch) so the truncation lands behind a LIVE mapping.
-  view->prefetch();
+  // The open mapped every shard, so the truncation lands behind a LIVE
+  // mapping.
   ASSERT_EQ(view->shards_open(), 16u);
 
   // Ground truth before the damage.
@@ -475,7 +529,6 @@ TEST(FaultInjection, TruncationUnderConcurrentSessionsNeverCrashes) {
 
   const std::vector<EdgeId> faults = {7, 300};
   const auto view = ShardedStoreView::open(manifest.path());
-  (void)view->prefetch();
 
   std::atomic<bool> stop{false};
   std::atomic<int> ready{0};
@@ -537,11 +590,32 @@ TEST(FaultInjection, OpenDegradedQuarantinesDamagedShardAndServesRest) {
   ASSERT_EQ(report.size(), 1u);
   EXPECT_EQ(report[0].shard, 2u);
 
+  // Every healthy range serves through the view; every ID in the dead
+  // shard's ranges throws DegradedError naming it.
   const auto recs = view->shards();
-  (void)view->vertex_blob(0);  // healthy ranges serve
-  EXPECT_THROW(
-      (void)view->vertex_blob(static_cast<VertexId>(recs[2].vertex_begin)),
-      DegradedError);
+  const auto expect_dead = [](auto read) {
+    try {
+      read();
+      ADD_FAILURE() << "read into the quarantined shard answered";
+    } catch (const DegradedError& e) {
+      EXPECT_EQ(e.shard, 2u);
+    }
+  };
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (v >= recs[2].vertex_begin && v < recs[2].vertex_end) {
+      expect_dead([&] { (void)view->vertex_blob(v); });
+    } else {
+      EXPECT_EQ(view->vertex_blob(v).size(), store::kVertexRecordBytes);
+    }
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (e >= recs[2].edge_begin && e < recs[2].edge_end) {
+      expect_dead([&] { (void)view->edge_blob(e); });
+    } else {
+      EXPECT_FALSE(view->edge_blob(e).empty());
+    }
+  }
+  EXPECT_THROW((void)load_scheme(view), DegradedError);
 
   // verify_shard agrees with the quarantine, shard by shard.
   for (std::size_t k = 0; k < 4; ++k) {
@@ -678,7 +752,6 @@ TEST(FaultInjection, FdExhaustionSweepIsTypedAndLeakFree) {
       ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
       try {
         const auto view = ShardedStoreView::open(manifest.path());
-        (void)view->prefetch(4);
         (void)view->vertex_blob(0);
       } catch (const StoreError&) {
         // Typed failure (open/mmap EMFILE, possibly quarantined) is the
@@ -692,7 +765,6 @@ TEST(FaultInjection, FdExhaustionSweepIsTypedAndLeakFree) {
   }
   // With the limit restored the store serves normally again.
   const auto view = ShardedStoreView::open(manifest.path());
-  (void)view->prefetch();
   EXPECT_EQ(view->shards_open(), 16u);
 }
 

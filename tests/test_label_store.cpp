@@ -112,26 +112,25 @@ TEST_P(LabelStoreParity, SaveLoadRoundTripMatchesInMemoryAndBfs) {
                    std::to_string(static_cast<int>(GetParam())));
     scheme->save(file.path());
 
-    for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMaterialize}) {
-      const auto loaded = load_scheme(file.path(), {mode, true});
-      EXPECT_EQ(loaded->backend(), GetParam());
-      EXPECT_EQ(loaded->num_vertices(), scheme->num_vertices());
-      EXPECT_EQ(loaded->num_edges(), scheme->num_edges());
-      EXPECT_EQ(loaded->vertex_label_bits(), scheme->vertex_label_bits());
-      EXPECT_EQ(loaded->edge_label_bits(), scheme->edge_label_bits());
+    // The mmap-served scheme against the in-memory make_scheme
+    // reference, and both against BFS ground truth.
+    const auto loaded = load_scheme(file.path());
+    EXPECT_EQ(loaded->backend(), GetParam());
+    EXPECT_EQ(loaded->num_vertices(), scheme->num_vertices());
+    EXPECT_EQ(loaded->num_edges(), scheme->num_edges());
+    EXPECT_EQ(loaded->vertex_label_bits(), scheme->vertex_label_bits());
+    EXPECT_EQ(loaded->edge_label_bits(), scheme->edge_label_bits());
 
-      SplitMix64 rng(900 + static_cast<int>(GetParam()));
-      for (int it = 0; it < 25; ++it) {
-        const auto faults = random_faults(rng, g, f);
-        const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-        const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-        const bool expected = graph::connected_avoiding(g, s, t, faults);
-        EXPECT_EQ(scheme->connected(s, t, FaultSpec::edges(faults)),
-                  expected)
-            << fam.name << " it=" << it;
-        EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), expected)
-            << fam.name << " mode=" << static_cast<int>(mode) << " it=" << it;
-      }
+    SplitMix64 rng(900 + static_cast<int>(GetParam()));
+    for (int it = 0; it < 25; ++it) {
+      const auto faults = random_faults(rng, g, f);
+      const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const bool reference = scheme->connected(s, t, FaultSpec::edges(faults));
+      EXPECT_EQ(reference, graph::connected_avoiding(g, s, t, faults))
+          << fam.name << " it=" << it;
+      EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), reference)
+          << fam.name << " it=" << it;
     }
   }
 }
@@ -181,9 +180,8 @@ TEST_P(LabelStoreParity, TenThousandQueryBatchMatchesInMemory) {
     BatchQueryEngine in_memory(*scheme, FaultSpec::edges(faults));
     // The store session owns its loaded scheme (mmap zero-copy path) and
     // fans out across threads; answers must be bit-identical.
-    BatchQueryEngine from_store(
-        load_scheme(file.path(), {LoadMode::kMmap, true}),
-        FaultSpec::edges(faults));
+    BatchQueryEngine from_store(load_scheme(file.path()),
+                                FaultSpec::edges(faults));
     const auto expected = in_memory.run_sequential(queries);
     const auto actual = from_store.run_parallel(queries, 4);
     EXPECT_EQ(actual, expected) << fam.name;
@@ -505,22 +503,20 @@ TEST_P(LabelStoreV1Compat, LoadsAndServesEdgeFaultsUnchanged) {
 
   const Graph g = fixture_graph();
   const auto rebuilt = make_scheme(g, fixture_config(GetParam().backend));
-  for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMaterialize}) {
-    const auto loaded = load_scheme(path, {mode, true});
-    EXPECT_EQ(loaded->num_vertices(), g.num_vertices());
-    EXPECT_EQ(loaded->num_edges(), g.num_edges());
-    EXPECT_EQ(loaded->adjacency(), nullptr);
-    SplitMix64 rng(77);
-    for (int it = 0; it < 40; ++it) {
-      const auto faults = random_faults(rng, g, 2);
-      const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      const bool expected = graph::connected_avoiding(g, s, t, faults);
-      EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), expected)
-          << "it=" << it;
-      EXPECT_EQ(rebuilt->connected(s, t, FaultSpec::edges(faults)), expected)
-          << "it=" << it;
-    }
+  const auto loaded = load_scheme(path);
+  EXPECT_EQ(loaded->num_vertices(), g.num_vertices());
+  EXPECT_EQ(loaded->num_edges(), g.num_edges());
+  EXPECT_EQ(loaded->adjacency(), nullptr);
+  SplitMix64 rng(77);
+  for (int it = 0; it < 40; ++it) {
+    const auto faults = random_faults(rng, g, 2);
+    const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    const bool expected = graph::connected_avoiding(g, s, t, faults);
+    EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), expected)
+        << "it=" << it;
+    EXPECT_EQ(rebuilt->connected(s, t, FaultSpec::edges(faults)), expected)
+        << "it=" << it;
   }
 }
 

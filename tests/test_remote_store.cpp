@@ -172,7 +172,7 @@ TEST(ShardHttpSource, ConnectFailureIsTransient) {
 }
 
 // ------------------------------------------------------------------
-// RemoteStoreView: parity, prefetch, warm cache.
+// RemoteStoreView: parity, eager fetch, warm cache.
 
 TEST(RemoteStore, BlobsAndInfoMatchLocalOpen) {
   ServedStore served("parity", 4);
@@ -212,18 +212,16 @@ TEST(RemoteStore, BlobsAndInfoMatchLocalOpen) {
   }
 }
 
-TEST(RemoteStore, PrefetchFetchesEveryShardOnceThenServesWarm) {
-  ServedStore served("prefetch", 4);
-  ScratchDir cache_dir("prefetch_cache");
+TEST(RemoteStore, OpenFetchesEveryShardOnceThenServesWarm) {
+  ServedStore served("eager", 4);
+  ScratchDir cache_dir("eager_cache");
   auto cache = std::make_shared<ShardCache>(cache_dir.path(), 0);
 
   const auto remote = RemoteStoreView::open(served.url(), true, nullptr,
                                             cache);
-  EXPECT_EQ(remote->shards_open(), 0u);  // shards stay lazy across the open
-  const auto stats = remote->prefetch(4);
-  EXPECT_EQ(stats.shards_opened, 4u);
-  EXPECT_EQ(remote->shards_open(), 4u);
-  EXPECT_NE(remote->routes(), nullptr);
+  EXPECT_EQ(remote->shards_open(), 4u);  // the open fetched + mapped all
+  EXPECT_EQ(remote->prefetch(4).shards_opened, 4u);
+  EXPECT_EQ(remote->routes().num_vertices, served.graph.num_vertices());
 
   std::uint64_t shard_bytes = 0;
   for (const auto& rec : remote->shards()) shard_bytes += rec.file_bytes;
@@ -269,12 +267,7 @@ TEST(RemoteStore, SwapToDeltaPushedChildFetchesOnlyChangedShard) {
   ScratchDir cache_dir("delta_cache");
   const ScopedDefaultCache cache(cache_dir.path());
 
-  auto scheme = load_scheme(served.url());
-  const auto parent_view = std::dynamic_pointer_cast<const ShardedStoreView>(
-      scheme->store_view());
-  ASSERT_NE(parent_view, nullptr);
-  parent_view->prefetch(4);  // all four shards cached + mapped
-
+  auto scheme = load_scheme(served.url());  // all four shards cached + mapped
   const std::vector<EdgeId> faults{2};
   BatchQueryEngine session(std::move(scheme), FaultSpec::edges(faults));
 
@@ -341,10 +334,10 @@ TEST(RemoteStore, SwapToDeltaPushedChildFetchesOnlyChangedShard) {
   ASSERT_EQ(push.shards_reused, 3u);
 
   const auto before = cache.cache()->stats();
-  // swap_store prefetches the incoming generation before publishing it;
-  // with the parent view as reuse source the three unchanged shards are
-  // adopted onto their existing mmaps, so the swap moves exactly ONE
-  // shard over the wire — a cache miss for the child's new bytes.
+  // swap_store opens the incoming generation with the parent view as
+  // reuse source: the three unchanged shards are adopted onto their
+  // existing mmaps, so the swap moves exactly ONE shard over the wire —
+  // a cache miss for the child's new bytes.
   session.swap_store(served.server.base_url() + "child.ftcm");
   const auto child_view = std::dynamic_pointer_cast<const ShardedStoreView>(
       session.scheme().store_view());
@@ -353,10 +346,9 @@ TEST(RemoteStore, SwapToDeltaPushedChildFetchesOnlyChangedShard) {
   const auto after = cache.cache()->stats();
   EXPECT_EQ(after.misses - before.misses, 1u);
   EXPECT_EQ(after.hits, before.hits);  // adoption never re-touches the cache
-  // The generation is already warm: another prefetch maps nothing new
-  // and re-reports the constant adoption count.
+  // The open's record: one shard mapped, three adopted.
   const auto pstats = child_view->prefetch(4);
-  EXPECT_EQ(pstats.shards_opened, 0u);
+  EXPECT_EQ(pstats.shards_opened, 1u);
   EXPECT_EQ(pstats.shards_adopted, 3u);
 }
 
@@ -379,60 +371,59 @@ class ScopedRetryPolicy {
   RetryPolicy prior_;
 };
 
-TEST(RemoteStoreFaults, TransientReadFailureRetriesAndSucceeds) {
+TEST(RemoteStoreFaults, TransientFetchFailureRetriesAndSucceeds) {
   ServedStore served("retry", 2);
   ScratchDir cache_dir("retry_cache");
   auto cache = std::make_shared<ShardCache>(cache_dir.path(), 0);
   const ScopedRetryPolicy policy(3, std::chrono::microseconds(50));
 
+  // The first shard fetch fails its digest check (transient: the origin
+  // may be mid-republish); the open_shard retry re-fetches and the open
+  // succeeds with nothing quarantined.
+  failpoint::Scoped fp("remote.digest", "once:EIO");
   const auto remote = RemoteStoreView::open(served.url(), true, nullptr,
                                             cache);
-  // One injected EIO on the next socket read: the shard fetch fails
-  // once, the open_shard retry loop re-fetches, the query answers.
-  failpoint::Scoped fp("remote.read", "once:EIO");
-  EXPECT_GT(remote->vertex_blob(0).size(), 0u);
-  EXPECT_GE(fp.hits(), 1u);  // the failing recv plus the retry's reads
+  EXPECT_EQ(fp.hits(), 3u);  // 2 shards + 1 retry
   EXPECT_EQ(remote->shards_quarantined(), 0u);
+  EXPECT_EQ(remote->shards_open(), 2u);
+  EXPECT_GT(remote->vertex_blob(0).size(), 0u);
 }
 
-TEST(RemoteStoreFaults, PersistentFailureDegradesShardOthersKeepServing) {
+TEST(RemoteStoreFaults, PersistentFailureFailsOpenWarmViewKeepsServing) {
   ServedStore served("degrade", 4);
   ScratchDir cache_dir("degrade_cache");
   auto cache = std::make_shared<ShardCache>(cache_dir.path(), 0);
   const ScopedRetryPolicy policy(2, std::chrono::microseconds(50));
 
+  // Open while the origin is healthy: every shard is local and mapped.
   const auto remote = RemoteStoreView::open(served.url(), true, nullptr,
                                             cache);
-  // Warm shard 0 while the origin is healthy.
-  const VertexId healthy_v = remote->shards()[0].vertex_begin;
-  EXPECT_GT(remote->vertex_blob(healthy_v).size(), 0u);
-
-  // Every read now fails: the first touch of the LAST shard exhausts
-  // its retries and quarantines exactly that shard.
-  const auto& last = remote->shards()[remote->shards().size() - 1];
-  const VertexId cold_v = last.vertex_begin;
-  ASSERT_GT(last.vertex_end, last.vertex_begin);
+  // Every read now fails: the warm view never touches the wire again,
+  // so every range still answers while the origin is down.
   {
     failpoint::Scoped fp("remote.read", "always:EIO");
-    try {
-      (void)remote->vertex_blob(cold_v);
-      FAIL() << "expected DegradedError";
-    } catch (const DegradedError& e) {
-      EXPECT_EQ(e.shard, remote->shards().size() - 1);
-      EXPECT_EQ(e.vertex_begin, last.vertex_begin);
-      EXPECT_EQ(e.vertex_end, last.vertex_end);
+    for (VertexId v = 0; v < served.graph.num_vertices(); ++v) {
+      EXPECT_GT(remote->vertex_blob(v).size(), 0u);
     }
-    // Warm shards never touch the wire again: they answer even while
-    // the origin is down.
-    EXPECT_GT(remote->vertex_blob(healthy_v).size(), 0u);
   }
-  EXPECT_EQ(remote->shards_quarantined(), 1u);
-  // Quarantine is sticky — the shard stays dead after the fault clears
-  // (a swap to a fresh generation is the recovery path).
-  EXPECT_THROW((void)remote->vertex_blob(cold_v), DegradedError);
-  const auto report = remote->quarantine_report();
-  ASSERT_EQ(report.size(), 1u);
-  EXPECT_NE(report[0].reason.find("remote"), std::string::npos);
+  EXPECT_EQ(remote->shards_quarantined(), 0u);
+
+  // The last shard vanishes from the origin: a cold open exhausts its
+  // retries on it and refuses the store, naming exactly that shard.
+  const std::size_t last = remote->shards().size() - 1;
+  const store::ShardRecord& rec = remote->shards()[last];
+  ASSERT_EQ(std::remove(served.dir.file(rec.name).c_str()), 0);
+  ScratchDir cold_dir("degrade_cold_cache");
+  auto cold = std::make_shared<ShardCache>(cold_dir.path(), 0);
+  try {
+    (void)RemoteStoreView::open(served.url(), true, nullptr, cold);
+    FAIL() << "expected DegradedError";
+  } catch (const DegradedError& e) {
+    EXPECT_EQ(e.shard, last);
+    EXPECT_EQ(e.vertex_begin, rec.vertex_begin);
+    EXPECT_EQ(e.vertex_end, rec.vertex_end);
+    EXPECT_NE(std::string(e.what()).find("remote"), std::string::npos);
+  }
 }
 
 TEST(RemoteStoreFaults, CorruptOriginShardFailsTypedNotCrash) {
@@ -453,11 +444,10 @@ TEST(RemoteStoreFaults, CorruptOriginShardFailsTypedNotCrash) {
               static_cast<std::streamsize>(bytes.size()));
   }
 
-  const auto remote = RemoteStoreView::open(served.url(), true, nullptr,
-                                            cache);
-  EXPECT_THROW((void)remote->vertex_blob(remote->shards()[0].vertex_begin),
-               DegradedError);
-  EXPECT_EQ(cache->stats().entries, 0u);  // corrupt bytes never published
+  EXPECT_THROW(
+      (void)RemoteStoreView::open(served.url(), true, nullptr, cache),
+      DegradedError);
+  EXPECT_EQ(cache->stats().entries, 1u);  // shard 1 only; corrupt 0 never
 }
 
 // ------------------------------------------------------------------

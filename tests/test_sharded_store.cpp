@@ -158,31 +158,31 @@ TEST_P(ShardedStoreParity, BlobsAndAnswersMatchUnshardedAcrossShardCounts) {
       EXPECT_EQ(view->adjacency_degree(v), flat_view->adjacency_degree(v));
     }
 
-    // Query parity incl. vertex and mixed faults, vs BFS ground truth.
-    for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMaterialize}) {
-      const auto loaded = load_scheme(view, mode);
-      SplitMix64 rng(500 + k_shards);
-      for (int it = 0; it < 25; ++it) {
-        std::vector<EdgeId> edge_faults;
-        for (unsigned i = 0; i < rng.next_below(3u); ++i) {
-          edge_faults.push_back(
-              static_cast<EdgeId>(rng.next_below(g.num_edges())));
-        }
-        std::vector<VertexId> vertex_faults;
-        if (rng.next_below(2u) == 0) {
-          vertex_faults.push_back(
-              static_cast<VertexId>(rng.next_below(g.num_vertices())));
-        }
-        const auto spec = FaultSpec::of(edge_faults, vertex_faults);
-        const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-        const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-        const bool expected =
-            graph::connected_avoiding(g, s, t, edge_faults, vertex_faults);
-        EXPECT_EQ(loaded->connected(s, t, spec), expected)
-            << "k=" << k_shards << " mode=" << static_cast<int>(mode)
-            << " it=" << it;
-        EXPECT_EQ(scheme->connected(s, t, spec), expected) << "it=" << it;
+    // Query parity incl. vertex and mixed faults: the mmap-served
+    // scheme against the in-memory make_scheme reference, and the
+    // reference against BFS ground truth.
+    const auto loaded = load_scheme(view);
+    SplitMix64 rng(500 + k_shards);
+    for (int it = 0; it < 25; ++it) {
+      std::vector<EdgeId> edge_faults;
+      for (unsigned i = 0; i < rng.next_below(3u); ++i) {
+        edge_faults.push_back(
+            static_cast<EdgeId>(rng.next_below(g.num_edges())));
       }
+      std::vector<VertexId> vertex_faults;
+      if (rng.next_below(2u) == 0) {
+        vertex_faults.push_back(
+            static_cast<VertexId>(rng.next_below(g.num_vertices())));
+      }
+      const auto spec = FaultSpec::of(edge_faults, vertex_faults);
+      const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const bool reference = scheme->connected(s, t, spec);
+      EXPECT_EQ(reference,
+                graph::connected_avoiding(g, s, t, edge_faults, vertex_faults))
+          << "it=" << it;
+      EXPECT_EQ(loaded->connected(s, t, spec), reference)
+          << "k=" << k_shards << " it=" << it;
     }
   }
 }
@@ -281,50 +281,27 @@ TEST(ShardedStore, MoreShardsThanVertices) {
   }
 }
 
-// Shards mmap lazily: queries that only touch one shard's ranges open
-// only that shard (plus the shard(s) owning the fault-edge labels).
-TEST(ShardedStore, ShardsOpenLazily) {
-  const Graph g = graph::grid(8, 8);
-  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
-  ManifestFile manifest("lazy");
-  save_sharded(*scheme, manifest.path(), 8);
-  const auto view = ShardedStoreView::open(manifest.path());
-  EXPECT_EQ(view->shards_open(), 0u);
-  (void)view->vertex_blob(0);
-  EXPECT_EQ(view->shards_open(), 1u);
-  (void)view->vertex_blob(0);
-  EXPECT_EQ(view->shards_open(), 1u);  // cached, not reopened
-  (void)view->edge_blob(g.num_edges() - 1);
-  EXPECT_EQ(view->shards_open(), 2u);
-}
-
-// ------------------------------------------------------------------
-// Prefetch: the parallel warm-up path and the flat route table it
-// publishes must compose with lazy opens, concurrent queries and
-// corrupt shards exactly like the lazy path does.
-
-// prefetch() maps every shard, publishes the route table, and the blobs
-// served through the resolved routes are byte-identical to the
-// unsharded container.
-TEST(ShardedStorePrefetch, OpensAllShardsResolvesRoutesAndKeepsParity) {
+// The open maps every shard and resolves the route table; the blobs
+// served through it are byte-identical to the unsharded container, and
+// prefetch() only reports what the open did.
+TEST(ShardedStoreOpen, MapsAllShardsResolvesRoutesAndKeepsParity) {
   const Graph g = graph::random_connected(40, 100, 21);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
-  StoreFile flat("prefetch_flat");
+  StoreFile flat("open_flat");
   scheme->save(flat.path());
   const auto flat_view = LabelStoreView::open(flat.path());
-  ManifestFile manifest("prefetch");
+  ManifestFile manifest("open_eager");
   save_sharded(*scheme, manifest.path(), 8);
 
   const auto view = ShardedStoreView::open(manifest.path());
-  EXPECT_EQ(view->routes(), nullptr);
+  EXPECT_EQ(view->shards_open(), 8u);
+  EXPECT_EQ(view->routes().num_vertices, g.num_vertices());
+  EXPECT_EQ(view->routes().num_edges, g.num_edges());
   const store::PrefetchStats stats = view->prefetch(4);
   EXPECT_EQ(stats.shards_opened, 8u);
+  EXPECT_EQ(stats.shards_adopted, 0u);
   EXPECT_EQ(stats.shard_us.size(), 8u);
   EXPECT_GT(stats.threads, 0u);
-  EXPECT_EQ(view->shards_open(), 8u);
-  ASSERT_NE(view->routes(), nullptr);
-  EXPECT_EQ(view->routes()->num_vertices, g.num_vertices());
-  EXPECT_EQ(view->routes()->num_edges, g.num_edges());
 
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_TRUE(spans_equal(view->vertex_blob(v), flat_view->vertex_blob(v)));
@@ -333,30 +310,30 @@ TEST(ShardedStorePrefetch, OpensAllShardsResolvesRoutesAndKeepsParity) {
     EXPECT_TRUE(spans_equal(view->edge_blob(e), flat_view->edge_blob(e)));
   }
 
-  // Idempotent: a second prefetch opens nothing and changes nothing.
+  // prefetch() does no work: it keeps returning the open's record.
   const store::PrefetchStats again = view->prefetch();
-  EXPECT_EQ(again.shards_opened, 0u);
+  EXPECT_EQ(again.shards_opened, 8u);
+  EXPECT_EQ(again.total_us, stats.total_us);
   EXPECT_EQ(view->shards_open(), 8u);
 }
 
-// The single-container view resolves its routes at open; prefetch is a
-// no-op there but routes() is live immediately.
-TEST(ShardedStorePrefetch, FlatContainerRoutesAvailableAtOpen) {
+// The single-container view resolves its routes at open too; it has no
+// shards, so prefetch() reports none.
+TEST(ShardedStoreOpen, FlatContainerRoutesAvailableAtOpen) {
   const Graph g = graph::cycle(16);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   StoreFile flat("routes_flat");
   scheme->save(flat.path());
   const auto view = LabelStoreView::open(flat.path());
-  ASSERT_NE(view->routes(), nullptr);
-  EXPECT_EQ(view->routes()->num_vertices, g.num_vertices());
-  EXPECT_EQ(view->routes()->num_edges, g.num_edges());
-  (void)view->prefetch(3);  // no-op, must not throw
+  EXPECT_EQ(view->routes().num_vertices, g.num_vertices());
+  EXPECT_EQ(view->routes().num_edges, g.num_edges());
+  EXPECT_EQ(view->prefetch(3).shards_opened, 0u);
 }
 
-// Prefetch racing lazy first-touch opens and concurrent queries: every
-// read must come back correct and every shard end up mapped exactly
-// once. (This is the test the tsan preset is aimed at.)
-TEST(ShardedStorePrefetch, RacesLazyOpensAndConcurrentQueries) {
+// Concurrent readers of one shared view (this is the test the tsan
+// preset is aimed at): every read must come back byte-identical to the
+// unsharded container.
+TEST(ShardedStoreOpen, ConcurrentReadersOfOneView) {
   const Graph g = graph::random_connected(64, 160, 33);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   StoreFile flat("race_flat");
@@ -369,11 +346,9 @@ TEST(ShardedStorePrefetch, RacesLazyOpensAndConcurrentQueries) {
     const auto view = ShardedStoreView::open(manifest.path());
     std::atomic<int> mismatches{0};
     std::vector<std::thread> threads;
-    // Two prefetchers racing each other...
     for (int p = 0; p < 2; ++p) {
       threads.emplace_back([&] { (void)view->prefetch(4); });
     }
-    // ...while readers drive lazy first-touch opens across all shards.
     for (int r = 0; r < 3; ++r) {
       threads.emplace_back([&, r] {
         for (VertexId v = r; v < g.num_vertices(); v += 3) {
@@ -391,14 +366,14 @@ TEST(ShardedStorePrefetch, RacesLazyOpensAndConcurrentQueries) {
     for (std::thread& t : threads) t.join();
     EXPECT_EQ(mismatches.load(), 0);
     EXPECT_EQ(view->shards_open(), 16u);
-    EXPECT_NE(view->routes(), nullptr);
   }
 }
 
-// A corrupt shard fails prefetch with the SAME typed error the lazy
-// open throws, and the healthy shards keep serving.
-TEST(ShardedStorePrefetch, CorruptShardThrowsTypedStoreError) {
-  ManifestFile manifest("prefetch_corrupt");
+// A corrupt shard fails the strict open with a typed StoreError; the
+// degraded open quarantines exactly that shard, keeps serving the
+// healthy ones through the view, and load_scheme refuses the view.
+TEST(ShardedStoreOpen, CorruptShardThrowsTypedStoreError) {
+  ManifestFile manifest("open_corrupt");
   const Graph g = graph::random_connected(24, 60, 9);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, manifest.path(), 4);
@@ -408,15 +383,13 @@ TEST(ShardedStorePrefetch, CorruptShardThrowsTypedStoreError) {
   shard.back() ^= 0x01;
   write_file(manifest.shard_path(2), shard);
 
-  const auto view = ShardedStoreView::open(manifest.path());
-  EXPECT_THROW((void)view->prefetch(4), StoreError);
-  // The failure is sticky for the bad shard, not for the store: healthy
-  // shards were published and still serve, the route table never
-  // resolves, and re-touching the bad shard throws again.
-  EXPECT_EQ(view->routes(), nullptr);
-  EXPECT_LT(view->shards_open(), 4u);
+  EXPECT_THROW((void)ShardedStoreView::open(manifest.path()), StoreError);
+  const auto view = ShardedStoreView::open_degraded(manifest.path());
+  EXPECT_EQ(view->shards_open(), 3u);
+  EXPECT_EQ(view->shards_quarantined(), 1u);
   (void)view->vertex_blob(0);  // shard 0 serves
-  EXPECT_THROW((void)view->edge_blob(g.num_edges() - 25), StoreError);
+  EXPECT_THROW((void)view->edge_blob(g.num_edges() - 25), DegradedError);
+  EXPECT_THROW((void)load_scheme(view), DegradedError);
 }
 
 // ------------------------------------------------------------------
@@ -533,17 +506,16 @@ TEST_F(ShardedStoreAdversarial, ShardRangeOverlapAndGapThrow) {
                StoreError);
 }
 
-TEST_F(ShardedStoreAdversarial, DigestMismatchThrowsAtFirstTouch) {
+TEST_F(ShardedStoreAdversarial, DigestMismatchThrowsAtOpen) {
   ManifestFile manifest("digest");
   auto bytes = make_manifest(manifest);
   // Record 0's payload digest (offset 40 in the record).
   bytes[record_offset(bytes, manifest, 0) + 40] ^= 0x01;
   write_file(manifest.path(), bytes);
-  // Structure is fine, so open (without the payload pass) succeeds; the
-  // lazy shard open is what must catch the stale digest.
-  const auto view = ShardedStoreView::open(manifest.path(), false);
-  EXPECT_EQ(view->shards_open(), 0u);
-  EXPECT_THROW((void)view->vertex_blob(0), StoreError);
+  // The manifest structure is fine (no payload pass here); the shard
+  // cross-check against the record is what must catch the stale digest.
+  EXPECT_THROW((void)ShardedStoreView::open(manifest.path(), false),
+               StoreError);
 }
 
 TEST_F(ShardedStoreAdversarial, SwappedShardFilesThrow) {
@@ -555,8 +527,8 @@ TEST_F(ShardedStoreAdversarial, SwappedShardFilesThrow) {
   ASSERT_EQ(shard0.size(), shard2.size());
   write_file(manifest.shard_path(0), shard2);
   write_file(manifest.shard_path(2), shard0);
-  const auto view = ShardedStoreView::open(manifest.path(), false);
-  EXPECT_THROW((void)view->vertex_blob(0), StoreError);
+  EXPECT_THROW((void)ShardedStoreView::open(manifest.path(), false),
+               StoreError);
 }
 
 TEST_F(ShardedStoreAdversarial, MissingShardFileThrowsAtOpen) {
@@ -751,7 +723,7 @@ TEST(ShardedStoreHygiene, ResaveWithFewerShardsUnlinksStaleFiles) {
   }
   const auto view = ShardedStoreView::open(manifest.path());
   EXPECT_EQ(view->info().num_shards, 3u);
-  EXPECT_EQ(view->prefetch(2).shards_opened, 3u);
+  EXPECT_EQ(view->shards_open(), 3u);
 }
 
 class DeltaFiles {
@@ -876,16 +848,14 @@ TEST(ShardedStoreDelta, AdoptionSharesUnchangedShardMaps) {
   DeltaFiles files("adopt");
   save_sharded(*scheme, files.parent().path(), 4);
   const auto parent_view = ShardedStoreView::open(files.parent().path());
-  (void)parent_view->prefetch(2);  // all four shards mapped
 
   // One changed shard: adoption must carry the three unchanged maps
-  // over and leave exactly the changed one for prefetch to open.
+  // over and leave exactly the changed one for the open to map.
   const EdgePatchScheme patched(*scheme, 0, EdgePatchScheme::Mode::kFlip);
   save_sharded_delta(patched, files.child().path(), files.parent().path());
   const auto child_view = ShardedStoreView::open(
       files.child().path(), /*verify_checksum=*/true, parent_view);
   EXPECT_EQ(child_view->shards_adopted(), 3u);
-  EXPECT_EQ(child_view->shards_open(), 3u);
   const store::PrefetchStats stats = child_view->prefetch(2);
   EXPECT_EQ(stats.shards_adopted, 3u);
   EXPECT_EQ(stats.shards_opened, 1u);
@@ -899,37 +869,42 @@ TEST(ShardedStoreDelta, AdoptionSharesUnchangedShardMaps) {
   }
 }
 
-TEST(ShardedStoreDelta, ZeroDeltaAdoptionResolvesRoutesImmediately) {
+TEST(ShardedStoreDelta, ZeroDeltaAdoptionMapsNothing) {
   const Graph g = graph::random_connected(40, 100, 43);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
   DeltaFiles files("adoptall");
   save_sharded(*scheme, files.parent().path(), 4);
   const auto parent_view = ShardedStoreView::open(files.parent().path());
-  (void)parent_view->prefetch(2);
 
   save_sharded_delta(*scheme, files.child().path(), files.parent().path());
   const auto child_view = ShardedStoreView::open(
       files.child().path(), /*verify_checksum=*/true, parent_view);
-  // Everything adopted: the view is fully warm at open — routes already
-  // resolved, a prefetch has nothing left to map.
+  // Everything adopted: the open maps no shard of its own.
   EXPECT_EQ(child_view->shards_adopted(), 4u);
-  EXPECT_NE(child_view->routes(), nullptr);
+  EXPECT_EQ(child_view->shards_open(), 4u);
   EXPECT_EQ(child_view->prefetch(2).shards_opened, 0u);
+  EXPECT_EQ(child_view->routes().num_edges, g.num_edges());
 }
 
-TEST(ShardedStoreDelta, AdoptionFromColdParentAdoptsNothing) {
+TEST(ShardedStoreDelta, AdoptionSkipsQuarantinedParentShard) {
   const Graph g = graph::random_connected(40, 100, 47);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
-  DeltaFiles files("coldparent");
+  DeltaFiles files("degradedparent");
+  // Two full saves of one scheme: byte-identical shards in separate
+  // files, so damaging the parent's leaves the child's intact.
   save_sharded(*scheme, files.parent().path(), 4);
-  const auto parent_view = ShardedStoreView::open(files.parent().path());
-  // Parent never touched: no maps to share, so adoption is a no-op and
-  // the child serves through ordinary lazy opens.
-  save_sharded_delta(*scheme, files.child().path(), files.parent().path());
+  save_sharded(*scheme, files.child().path(), 4);
+  ASSERT_EQ(::truncate(files.parent().shard_path(1).c_str(), 10), 0);
+  const auto parent_view =
+      ShardedStoreView::open_degraded(files.parent().path());
+  ASSERT_EQ(parent_view->shards_quarantined(), 1u);
+  // The quarantined parent slot has no mapping to share: the child
+  // adopts the three healthy shards and maps shard 1 itself.
   const auto child_view = ShardedStoreView::open(
       files.child().path(), /*verify_checksum=*/true, parent_view);
-  EXPECT_EQ(child_view->shards_adopted(), 0u);
-  EXPECT_EQ(child_view->prefetch(2).shards_opened, 4u);
+  EXPECT_EQ(child_view->shards_adopted(), 3u);
+  EXPECT_EQ(child_view->prefetch().shards_opened, 1u);
+  EXPECT_EQ(child_view->shards_quarantined(), 0u);
 }
 
 }  // namespace

@@ -323,11 +323,10 @@ TEST(StoreSwap, ConcurrentResetFaultsAndSwapStayCoherent) {
       << "a batch answered with a spec reset_faults had already replaced";
 }
 
-// swap_store() prefetches the incoming generation before publishing it:
-// when the swap returns, every shard of a sharded store is already
-// mapped and the flat route table is resolved — the new epoch never
-// serves a cold lazy open.
-TEST(StoreSwap, SwapPrefetchesShardedGenerationBeforePublish) {
+// A sharded generation arrives at swap_store() fully mapped: its open
+// mapped every shard and resolved the route table, so the new epoch
+// never serves a cold shard.
+TEST(StoreSwap, SwapInstallsFullyMappedShardedGeneration) {
   const Graph g = graph::grid(6, 8);
   const auto cfg = test_config(BackendKind::kCoreFtc, 3);
   const auto scheme = make_scheme(g, cfg);
@@ -338,18 +337,16 @@ TEST(StoreSwap, SwapPrefetchesShardedGenerationBeforePublish) {
 
   BatchQueryEngine session(load_scheme(flat.path()), FaultSpec{});
   const auto view = ShardedStoreView::open(manifest.path());
-  EXPECT_EQ(view->shards_open(), 0u);
-  session.swap_store(view);
   EXPECT_EQ(view->shards_open(), 4u);
-  EXPECT_NE(view->routes(), nullptr);
+  EXPECT_EQ(session.swap_store(view), 2u);
+  EXPECT_EQ(view->prefetch().shards_opened, 4u);
   EXPECT_TRUE(session.connected(0, g.num_vertices() - 1));
 }
 
-// Explicit prefetch() racing a swap_store() that installs a generation
-// over the SAME sharded view (whose install prefetches it again), while
-// queries stream: publication must stay single-shot per shard and every
-// answer correct.
-TEST(StoreSwap, PrefetchRacesSwapStoreOverOneView) {
+// Two sessions racing swap_store() onto the SAME sharded view while one
+// of them streams queries: a shared view serves both generations and
+// every answer stays correct.
+TEST(StoreSwap, SwapsRaceOverOneSharedView) {
   const Graph g = graph::random_connected(48, 120, 19);
   const auto cfg = test_config(BackendKind::kCoreFtc, 3);
   const auto scheme = make_scheme(g, cfg);
@@ -374,17 +371,19 @@ TEST(StoreSwap, PrefetchRacesSwapStoreOverOneView) {
     const auto view = ShardedStoreView::open(manifest.path());
     BatchQueryEngine session(load_scheme(flat.path()),
                              FaultSpec::edges(faults));
-    std::thread prefetcher([&] { (void)view->prefetch(2); });
+    BatchQueryEngine other(load_scheme(flat.path()),
+                           FaultSpec::edges(faults));
+    std::thread other_swapper([&] { other.swap_store(view); });
     std::thread swapper([&] { session.swap_store(view); });
     // Same labels both generations: answers never move mid-race.
     for (int b = 0; b < 4; ++b) {
       EXPECT_EQ(session.run_sequential(queries), truth) << "round=" << round;
     }
-    prefetcher.join();
+    other_swapper.join();
     swapper.join();
     EXPECT_EQ(view->shards_open(), 8u);
-    EXPECT_NE(view->routes(), nullptr);
     EXPECT_EQ(session.run_parallel(queries, 4), truth);
+    EXPECT_EQ(other.run_parallel(queries, 2), truth);
   }
 }
 
@@ -607,13 +606,12 @@ TEST(StoreSwapDelta, SwapByPathMapsOnlyTheChangedShard) {
   const auto view = serving_sharded_view(session);
   ASSERT_NE(view, nullptr);
   // The acceptance assertion: 3 of 4 shards adopted from the previous
-  // generation, only the changed one freshly mapped — and the swap's
-  // own prefetch already did that mapping (nothing left to open).
+  // generation, only the changed one freshly mapped by the open.
   EXPECT_EQ(view->shards_adopted(), 3u);
   EXPECT_EQ(view->shards_open(), 4u);
   const store::PrefetchStats after = view->prefetch();
   EXPECT_EQ(after.shards_adopted, 3u);
-  EXPECT_EQ(after.shards_opened, 0u);
+  EXPECT_EQ(after.shards_opened, 1u);
   // Vertex labels and the queried fault labels are untouched by the
   // flip, so every answer matches generation A.
   EXPECT_EQ(session.run_parallel(queries, 3), baseline);

@@ -22,6 +22,7 @@
 #include "core/batch_engine.hpp"
 #include "core/connectivity_scheme.hpp"
 #include "core/label_store.hpp"
+#include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
@@ -212,16 +213,17 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
     const auto scheme = make_scheme(g, stress_config(GetParam(), f));
 
     // Store round-trip: the saved container (format v2, with adjacency)
-    // must answer vertex faults exactly like the in-memory scheme.
+    // and a 3-shard store of the same scheme must answer vertex faults
+    // exactly like the in-memory scheme.
     const std::string store_path =
         ::testing::TempDir() + "ftc_vfstress_" + sweep.family + "_" +
         std::to_string(static_cast<int>(GetParam())) + "_" +
         std::to_string(::getpid()) + ".ftcs";
+    const std::string manifest_path = store_path + ".ftcm";
     scheme->save(store_path);
-    const auto mmap_scheme =
-        load_scheme(store_path, {LoadMode::kMmap, true});
-    const auto mat_scheme =
-        load_scheme(store_path, {LoadMode::kMaterialize, true});
+    save_sharded(*scheme, manifest_path, 3);
+    const auto mmap_scheme = load_scheme(store_path);
+    const auto sharded_scheme = load_scheme(manifest_path);
 
     SplitMix64 rng(mix_hash(sweep.n * 77 + sweep.seed, 0x5eed));
     for (int it = 0; it < 25; ++it) {
@@ -254,12 +256,12 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
            << " s=" << s << " t=" << t;
         return os.str();
       };
-      EXPECT_EQ(scheme->connected(s, t, spec), expected)
-          << replay("in-memory");
-      EXPECT_EQ(mmap_scheme->connected(s, t, spec), expected)
+      const bool reference = scheme->connected(s, t, spec);
+      EXPECT_EQ(reference, expected) << replay("in-memory");
+      EXPECT_EQ(mmap_scheme->connected(s, t, spec), reference)
           << replay("store-mmap");
-      EXPECT_EQ(mat_scheme->connected(s, t, spec), expected)
-          << replay("store-materialize");
+      EXPECT_EQ(sharded_scheme->connected(s, t, spec), reference)
+          << replay("store-sharded");
     }
 
     // The same specs through batch sessions (in-memory and store-owned).
@@ -270,8 +272,7 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
         static_cast<EdgeId>(rng2.next_below(g.num_edges()))};
     const auto spec = FaultSpec::of(ef, vf);
     BatchQueryEngine in_memory(*scheme, spec);
-    BatchQueryEngine from_store(
-        load_scheme(store_path, {LoadMode::kMmap, true}), spec);
+    BatchQueryEngine from_store(load_scheme(store_path), spec);
     std::vector<BatchQueryEngine::Query> queries;
     for (int i = 0; i < 200; ++i) {
       queries.push_back(
@@ -288,6 +289,11 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
           << sweep.family << " i=" << i;
     }
     std::remove(store_path.c_str());
+    std::remove(manifest_path.c_str());
+    for (int k = 0; k < 3; ++k) {
+      std::remove((manifest_path + ".shard" + std::to_string(k) + ".ftcs")
+                      .c_str());
+    }
   }
 }
 

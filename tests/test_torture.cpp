@@ -149,7 +149,7 @@ void expect_servable(const std::string& path, const Graph& g,
                      const std::vector<EdgeId>& faults,
                      std::span<const BatchQueryEngine::Query> sample) {
   const auto view = ShardedStoreView::open(path);
-  (void)view->prefetch();
+  ASSERT_EQ(view->shards_open(), view->info().num_shards);
   ASSERT_EQ(view->shards_quarantined(), 0u);
   BatchQueryEngine session(load_scheme(path), FaultSpec::edges(faults));
   for (const auto& q : sample) {

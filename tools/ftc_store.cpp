@@ -12,21 +12,17 @@
 //
 //   ftc_store inspect labels.ftcs [--verbose]
 //       prints the parsed header: backend, dimensions, per-section and
-//       per-label sizes, checksum. --verbose additionally maps +
-//       digest-verifies every shard of a sharded store and prints what
-//       each one costs.
+//       per-label sizes, checksum. --verbose additionally prints what
+//       the open's map + digest-verify of each shard of a sharded store
+//       cost.
 //
 //   ftc_store query   labels.ftcs --faults 3,17,40 --vertex-faults 5,9
-//                     --pairs 0:9,4:7 [--mode mmap|materialize]
-//                     [--threads T] [--prefetch[=P]]
+//                     --pairs 0:9,4:7 [--threads T]
 //       spins up a BatchQueryEngine session directly from the store file
 //       (no graph, no rebuild) and answers the queries. --vertex-faults
 //       deletes whole vertices (every incident edge) via the adjacency
 //       side-table; format-v1 stores carry none and fail with a
 //       capability error. The file may be a container or a manifest.
-//       --prefetch maps + digest-verifies all shards up front (P worker
-//       threads; bare = auto) and prints the timing on stderr — answers
-//       on stdout are byte-identical with and without it.
 //
 //   ftc_store shard   labels.ftcs --out labels.ftcm [--shards K]
 //       splits an existing store into K shard containers plus a
@@ -64,7 +60,7 @@
 //       later appends inherit it. compact folds all frames into one.
 //
 //   ftc_store swap-demo [--f K] [--n N] [--m M] [--queries Q] [--swaps S]
-//                       [--seed S] [--threads T] [--prefetch[=P]] [--delta]
+//                       [--seed S] [--threads T] [--delta]
 //       end-to-end zero-downtime swap demonstration: builds two label
 //       generations, serves batches from one BatchQueryEngine session
 //       while another thread swap_store()s between them, and verifies
@@ -116,8 +112,7 @@ using namespace ftc;
                "[generator flags] [--seed S] [--shards K] [--threads T]\n"
                "       %s inspect FILE [--verbose]\n"
                "       %s query FILE --faults a,b,c --vertex-faults u,v "
-               "--pairs s:t,s:t [--mode mmap|materialize] [--threads T] "
-               "[--prefetch[=P]]\n"
+               "--pairs s:t,s:t [--threads T]\n"
                "       %s shard FILE --out MANIFEST [--shards K]\n"
                "       %s merge MANIFEST --out FILE\n"
                "       %s push FILE --out MANIFEST [--parent MANIFEST] "
@@ -126,8 +121,7 @@ using namespace ftc;
                "       %s journal append FILE --edges a,b,c [--budget F]\n"
                "       %s journal compact FILE\n"
                "       %s swap-demo [--f K] [--n N] [--m M] [--queries Q] "
-               "[--swaps S] [--seed S] [--threads T] [--prefetch[=P]] "
-               "[--delta]\n"
+               "[--swaps S] [--seed S] [--threads T] [--delta]\n"
                "       %s serve DIR [--port P]\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
                argv0, argv0);
@@ -136,10 +130,10 @@ using namespace ftc;
 
 // Flat --key value / --key=value argument list -> map. Flags in
 // `allowed` must carry a value; flags in `optional_value` may appear
-// bare ("--prefetch") or with an ATTACHED value ("--prefetch=8") — they
-// never consume the next token, so "--prefetch FILE" keeps FILE
-// positional. Unknown keys are a usage error — a typo'd flag must not
-// silently fall back to the default.
+// bare ("--delta") or with an ATTACHED value ("--delta=1") — they never
+// consume the next token, so "--verbose FILE" keeps FILE positional.
+// Unknown keys are a usage error — a typo'd flag must not silently fall
+// back to the default.
 std::map<std::string, std::string> parse_flags(
     int argc, char** argv, int begin, std::string* positional,
     std::initializer_list<const char*> allowed,
@@ -215,24 +209,6 @@ std::string flag_or(const std::map<std::string, std::string>& flags,
                     const std::string& key, const std::string& fallback) {
   const auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
-}
-
-// --prefetch[=THREADS]: absent -> no prefetch (negative sentinel); bare
-// -> 0 (the view picks its fan-out); =N -> N threads.
-long prefetch_threads(const std::map<std::string, std::string>& flags) {
-  const auto it = flags.find("prefetch");
-  if (it == flags.end()) return -1;
-  if (it->second.empty()) return 0;
-  return static_cast<long>(parse_u64_or_die(it->second));
-}
-
-// Runs view->prefetch and reports the timing on STDERR — query answers
-// on stdout must stay byte-identical with and without --prefetch.
-void run_prefetch(const core::StoreView& view, long threads) {
-  const auto stats = view.prefetch(static_cast<unsigned>(threads));
-  std::fprintf(stderr,
-               "prefetch: %zu shard(s) newly mapped in %.1f us (%u threads)\n",
-               stats.shards_opened, stats.total_us, stats.threads);
 }
 
 std::uint64_t flag_u64(const std::map<std::string, std::string>& flags,
@@ -420,11 +396,8 @@ int cmd_inspect(int argc, char** argv) {
                 info.parent_digest == 0 ? " (full save, no parent)" : "");
   }
   if (sharded != nullptr) {
-    // --verbose: sequentially map + digest-verify every shard and report
-    // what each one costs (the per-shard share of a cold first query or
-    // of a prefetch pass).
-    core::store::PrefetchStats stats;
-    if (verbose) stats = sharded->prefetch(1);
+    // --verbose: what the open's map + digest-verify of each shard cost.
+    const core::store::PrefetchStats stats = sharded->prefetch();
     std::printf("shards             %u\n", info.num_shards);
     std::size_t k = 0;
     for (const core::store::ShardRecord& rec : sharded->shards()) {
@@ -443,9 +416,8 @@ int cmd_inspect(int argc, char** argv) {
       ++k;
     }
     if (verbose) {
-      std::printf("prefetch           %.1f us total, route table %s\n",
-                  stats.total_us,
-                  sharded->routes() != nullptr ? "resolved" : "unresolved");
+      std::printf("shard open         %.1f us total on %u threads\n",
+                  stats.total_us, stats.threads);
     }
   }
   return 0;
@@ -790,7 +762,7 @@ int cmd_swap_demo(int argc, char** argv) {
   const auto flags = parse_flags(
       argc, argv, 2, nullptr,
       {"f", "n", "m", "queries", "swaps", "seed", "threads", "backend"},
-      {"prefetch", "delta"});
+      {"delta"});
   if (flags.count("delta") != 0) return run_delta_swap_demo(flags);
   const auto n = static_cast<graph::VertexId>(flag_u64(flags, "n", 96));
   const auto m = static_cast<graph::EdgeId>(flag_u64(flags, "m", 3 * n));
@@ -837,24 +809,7 @@ int cmd_swap_demo(int argc, char** argv) {
     truth_b.push_back(graph::connected_avoiding(g_b, q.s, q.t, faults));
   }
 
-  // --prefetch: warm each generation's labels explicitly before handing
-  // it to the session (swap_store prefetches on its own; the flag makes
-  // the warm-up visible and timed). Diagnostics go to stderr.
-  const long pf = prefetch_threads(flags);
-  auto load_generation = [&](const std::string& path) {
-    auto scheme = core::load_scheme(path);
-    if (pf >= 0) {
-      const auto t0 = std::chrono::steady_clock::now();
-      scheme->prefetch(static_cast<unsigned>(pf));
-      std::fprintf(stderr, "prefetch %s: %.1f us\n", path.c_str(),
-                   std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count());
-    }
-    return scheme;
-  };
-
-  core::BatchQueryEngine session(load_generation(store_a),
+  core::BatchQueryEngine session(core::load_scheme(store_a),
                                  core::FaultSpec::edges(faults));
   // Epoch 1 = A; the swapper alternates B, A, B, ... so odd epochs serve
   // A and even epochs serve B.
@@ -863,7 +818,7 @@ int cmd_swap_demo(int argc, char** argv) {
     for (std::uint64_t i = 0; i < swaps && !done.load(); ++i) {
       const bool to_b = i % 2 == 0;
       const auto epoch =
-          session.swap_store(load_generation(to_b ? store_b : store_a));
+          session.swap_store(core::load_scheme(to_b ? store_b : store_a));
       std::printf("swap #%llu -> generation %s now serving (epoch %llu)\n",
                   static_cast<unsigned long long>(i + 1), to_b ? "B" : "A",
                   static_cast<unsigned long long>(epoch));
@@ -914,21 +869,10 @@ int cmd_query(int argc, char** argv) {
   std::string path;
   const auto flags =
       parse_flags(argc, argv, 2, &path,
-                  {"mode", "faults", "vertex-faults", "pairs", "threads"},
-                  {"prefetch", "ignore-journal"});
+                  {"faults", "vertex-faults", "pairs", "threads"},
+                  {"ignore-journal"});
   if (path.empty()) {
     std::fprintf(stderr, "query: FILE is required\n");
-    return 1;
-  }
-  core::LoadOptions options;
-  const std::string mode = flag_or(flags, "mode", "mmap");
-  if (mode == "mmap") {
-    options.mode = core::LoadMode::kMmap;
-  } else if (mode == "materialize") {
-    options.mode = core::LoadMode::kMaterialize;
-  } else {
-    std::fprintf(stderr, "bad --mode %s (want mmap|materialize)\n",
-                 mode.c_str());
     return 1;
   }
   const auto faults = parse_id_list(flag_or(flags, "faults", ""));
@@ -942,15 +886,8 @@ int cmd_query(int argc, char** argv) {
   const auto threads = static_cast<unsigned>(flag_u64(flags, "threads", 1));
 
   const core::FaultSpec spec = core::FaultSpec::of(faults, vertex_faults);
-  const auto view = core::open_store_view(path, options.verify_checksum);
-  const long pf = prefetch_threads(flags);
-  if (pf >= 0) run_prefetch(*view, pf);
-  auto scheme = core::load_scheme(view, options.mode);
-  // The view-based load skips sidecar discovery; attach the deletion
-  // journal here so the CLI answers match load_scheme(path) semantics.
-  if (flags.count("ignore-journal") == 0) {
-    core::attach_journal_sidecar(*scheme, path, /*replay=*/true);
-  }
+  auto scheme = core::load_scheme(
+      path, {.replay_journal = flags.count("ignore-journal") == 0});
   core::BatchQueryEngine session(std::move(scheme), spec);
   const auto results = threads > 1 ? session.run_parallel(pairs, threads)
                                    : session.run_sequential(pairs);
