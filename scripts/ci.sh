@@ -22,7 +22,9 @@
 #   scripts/ci.sh bench-smoke # Release build of bench_decoder_hotpath +
 #                             # bench_vertex_faults + bench_shard_swap,
 #                             # tiny-size runs, JSON outputs validated —
-#                             # keeps bench binaries from silently rotting
+#                             # keeps bench binaries from silently rotting;
+#                             # fails when a checked-in root BENCH_*.json
+#                             # carries a key the fresh record lacks
 #   scripts/ci.sh store-shard # sharded-store leg: asan run of the
 #                             # sharded/manifest + live-swap suites, then
 #                             # an end-to-end CLI exercise — shard a
@@ -72,6 +74,11 @@
 #                             # CLI e2e — `build --threads 8` vs
 #                             # `--threads 1`, cmp byte-identical, for
 #                             # all three backends
+#   scripts/ci.sh fail-stop   # wide fail-stop sweep (asan): the disabled
+#                             # k 1-4 x f {4,8,12} x three-family sweep
+#                             # of test_fail_stop, GF(2^64) and
+#                             # GF(2^128), in-memory and mmap-served —
+#                             # every query exact or FtcCapacityError
 #   scripts/ci.sh docs        # documentation leg: every relative link in
 #                             # README.md and docs/*.md must resolve to a
 #                             # file in the repo (dead links fail)
@@ -92,6 +99,16 @@ if [ "${1:-}" = "store" ]; then
     -R 'test_label_store|test_stress_differential|test_decoder_workspace|test_fail_stop' \
     -j "$jobs"
   echo "ci: store/stress/workspace/fail-stop suites green under asan"
+  exit 0
+fi
+
+if [ "${1:-}" = "fail-stop" ]; then
+  echo "=== wide fail-stop sweep leg (asan) ==="
+  cmake --preset asan
+  cmake --build --preset asan -j "$jobs" --target test_fail_stop
+  UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
+    build-asan/test_fail_stop --gtest_also_run_disabled_tests
+  echo "ci: fail-stop sweep green under asan"
   exit 0
 fi
 
@@ -559,10 +576,19 @@ for path in sys.argv[1:]:
     with open(path) as fh:
         records = json.load(fh)
     assert isinstance(records, list) and records, f"no bench records: {path}"
-    need = required[path.split("/")[-1]]
+    name = path.split("/")[-1]
+    need = required[name]
     for r in records:
         missing = need - r.keys()
         assert not missing, f"{path}: record missing {missing}: {r}"
+    # A checked-in baseline must not keep a column the bench no longer
+    # emits: nobody could compare against it.
+    with open(name) as fh:
+        baseline = json.load(fh)
+    stale = set().union(*(r.keys() for r in baseline)) - \
+        set().union(*(r.keys() for r in records))
+    assert not stale, f"{name}: baseline keys the bench no longer emits: " \
+        f"{sorted(stale)} (regenerate with scripts/bench_all.sh)"
     print(f"bench-smoke: {path}: {len(records)} records, JSON well-formed")
 EOF
   else

@@ -209,9 +209,8 @@ void store_u64_le(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = (v >> (8 * i)) & 0xff;
 }
 
-// Serial shared by every temp-file writer (write_file_atomic and the
-// streaming FileSink), so concurrent saves of the same path from one
-// process can never collide on a temp name.
+// Serial of the durable writer's temp names, so concurrent saves of the
+// same path from one process can never collide on a temp name.
 unsigned next_save_serial() {
   static std::atomic<unsigned> save_counter{0};
   return save_counter.fetch_add(1);
@@ -223,17 +222,16 @@ unsigned next_save_serial() {
 // container size.
 constexpr std::size_t kStreamChunkBytes = std::size_t{1} << 20;
 
-// One emitter, three sinks. emit_container produces the container byte
+// One emitter, two sinks. emit_container produces the container byte
 // stream for a sink exposing
 //     void write(std::span<const std::uint8_t>);
 //     std::uint64_t offset() const;   // bytes written so far
-// The header is emitted FIRST with both checksum fields zero; each sink
-// finalizes the checksums its own way (MemorySink patches its buffer,
-// FileSink rewrites the 64-byte header in place, DigestSink never needs
+// The header is emitted FIRST with both checksum fields zero; FileSink
+// rewrites the 64-byte header in place at finish, DigestSink never needs
 // them — the payload checksum is definitionally over bytes past the
-// header). Routing build_container_bytes, write_container_streamed and
-// digest_container through this one function is what guarantees the
-// in-memory, streamed and digest-only outputs can never drift apart.
+// header. Routing write_container_streamed and digest_container through
+// this one function is what guarantees the written and digest-only
+// outputs can never drift apart.
 template <typename Sink>
 void emit_container(const ConnectivityScheme& scheme, VertexId v_begin,
                     VertexId v_end, EdgeId e_begin, EdgeId e_end,
@@ -333,29 +331,7 @@ void emit_container(const ConnectivityScheme& scheme, VertexId v_begin,
   }
 }
 
-// Sink 1: buffer everything, then patch the checksums — the historical
-// build_container_bytes behavior.
-class MemorySink {
- public:
-  void write(std::span<const std::uint8_t> b) {
-    buf_.insert(buf_.end(), b.begin(), b.end());
-  }
-  std::uint64_t offset() const { return buf_.size(); }
-
-  std::vector<std::uint8_t> finish() {
-    FTC_CHECK(buf_.size() >= store::kHeaderBytes, "container without header");
-    const std::span<const std::uint8_t> file(buf_);
-    store_u64_le(buf_.data() + 40,
-                 store::fnv1a(file.subspan(store::kHeaderBytes)));
-    store_u64_le(buf_.data() + 56, store::fnv1a(file.first(56)));
-    return std::move(buf_);
-  }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-// Sink 2: fold the stream straight into the payload digest — the
+// Sink 1: fold the stream straight into the payload digest — the
 // no-I/O pass delta pushes use to detect unchanged shards.
 class DigestSink {
  public:
@@ -378,15 +354,6 @@ class DigestSink {
 };
 
 }  // namespace
-
-std::vector<std::uint8_t> build_container_bytes(
-    const ConnectivityScheme& scheme, VertexId v_begin, VertexId v_end,
-    EdgeId e_begin, EdgeId e_end, bool include_adjacency) {
-  MemorySink sink;
-  emit_container(scheme, v_begin, v_end, e_begin, e_end, include_adjacency,
-                 sink);
-  return sink.finish();
-}
 
 MappedFile map_readonly(const std::string& path, std::size_t min_bytes,
                         const char* kind) {
@@ -443,97 +410,20 @@ void unmap_file(const MappedFile& file) {
   ::munmap(const_cast<std::uint8_t*>(file.data), file.size);
 }
 
-void write_file_atomic(const std::string& path,
-                       std::span<const std::uint8_t> file) {
-  // Write to a unique temp file (per process AND per call, for
-  // concurrent saves from one process), fsync it, rename into place and
-  // fsync the directory — so a crashed, failed or racing save never
-  // leaves a half-written store under the target name, even across
-  // power loss on writeback filesystems.
-  const std::string tmp = path + ".tmp." +
-                          std::to_string(static_cast<long>(::getpid())) +
-                          "." + std::to_string(next_save_serial());
-  util::ScopedFd fd;
-  if (const int fe = FTC_FAILPOINT("store.write.open")) {
-    errno = fe;
-  } else {
-    fd.reset(
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-  }
-  if (!fd) throw StoreIoError("cannot open for writing: " + tmp);
-  const auto fail_write = [&](const std::string& what) -> StoreIoError {
-    fd.reset();
-    std::remove(tmp.c_str());
-    return StoreIoError(what + ": " + tmp);
-  };
-  std::size_t written = 0;
-  while (written < file.size()) {
-    ::ssize_t n;
-    if (const int fe = FTC_FAILPOINT("store.write.write")) {
-      errno = fe;
-      n = -1;
-    } else {
-      n = ::write(fd.get(), file.data() + written, file.size() - written);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw fail_write("write failed");
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  int rc;
-  if (const int fe = FTC_FAILPOINT("store.write.fsync")) {
-    errno = fe;
-    rc = -1;
-  } else {
-    rc = ::fsync(fd.get());
-  }
-  if (rc != 0) throw fail_write("fsync failed");
-  if (const int fe = FTC_FAILPOINT("store.write.close")) {
-    errno = fe;
-    fd.reset();  // still close the real fd; the injected error wins
-    rc = -1;
-  } else {
-    rc = fd.close_now();
-  }
-  if (rc != 0) {
-    std::remove(tmp.c_str());
-    throw StoreIoError("close failed: " + tmp);
-  }
-  if (const int fe = FTC_FAILPOINT("store.write.rename")) {
-    errno = fe;
-    rc = -1;
-  } else {
-    rc = std::rename(tmp.c_str(), path.c_str());
-  }
-  if (rc != 0) {
-    std::remove(tmp.c_str());
-    throw StoreIoError("cannot rename " + tmp + " -> " + path);
-  }
-  // Persist the rename itself (best-effort: the data is already synced,
-  // and some filesystems reject directory fsync). The failpoint only
-  // counts the boundary — a skipped directory sync never fails a save.
-  if (FTC_FAILPOINT("store.write.dirsync") == 0) {
-    const std::size_t slash = path.find_last_of('/');
-    const std::string dir = slash == std::string::npos
-                                ? std::string(".")
-                                : path.substr(0, slash + 1);
-    const util::ScopedFd dir_fd(
-        ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
-    if (dir_fd) ::fsync(dir_fd.get());
-  }
-}
-
 namespace {
 
-// Sink 3: stream straight to disk with write_file_atomic's exact crash
-// story and failpoint surface (store.write.{open,write,fsync,close,
-// rename,dirsync}), without ever materializing the container: the only
-// buffered state is the 64-byte header copy (its checksum fields are
-// patched with one pwrite at finish) and the emitter's flush chunk.
-class FileSink {
+// The one durable writer behind every store artifact (containers,
+// manifests, journals, cache blobs): write to a unique temp file (per
+// process AND per call, for concurrent saves from one process), fsync
+// it, rename into place and fsync the directory — so a crashed, failed
+// or racing save never leaves a half-written file under the target
+// name, even across power loss on writeback filesystems. Each
+// store.write.* failpoint guards exactly one syscall boundary here. A
+// writer destroyed before commit() (the producer or a boundary threw)
+// removes its temp file.
+class DurableFile {
  public:
-  explicit FileSink(std::string path)
+  explicit DurableFile(std::string path)
       : path_(std::move(path)),
         tmp_(path_ + ".tmp." + std::to_string(static_cast<long>(::getpid())) +
              "." + std::to_string(next_save_serial())) {
@@ -546,76 +436,41 @@ class FileSink {
     if (!fd_) throw StoreIoError("cannot open for writing: " + tmp_);
   }
 
-  ~FileSink() {
-    // Abandoned before finish() (the emitter threw): never leave the
-    // partial temp file behind.
-    if (!finished_) {
+  ~DurableFile() {
+    if (!committed_) {
       fd_.reset();
       std::remove(tmp_.c_str());
     }
   }
 
-  FileSink(const FileSink&) = delete;
-  FileSink& operator=(const FileSink&) = delete;
+  DurableFile(const DurableFile&) = delete;
+  DurableFile& operator=(const DurableFile&) = delete;
 
-  void write(std::span<const std::uint8_t> b) {
-    // Keep a copy of the header bytes (they stream out with zeroed
-    // checksum fields) and fold everything after them into the payload
-    // checksum as it passes through.
-    if (offset_ < store::kHeaderBytes) {
-      const std::size_t take = static_cast<std::size_t>(
-          std::min<std::uint64_t>(b.size(), store::kHeaderBytes - offset_));
-      std::copy_n(b.data(), take,
-                  header_ + static_cast<std::size_t>(offset_));
-      if (take < b.size()) digest_ = store::fnv1a(b.subspan(take), digest_);
-    } else {
-      digest_ = store::fnv1a(b, digest_);
-    }
-    offset_ += b.size();
+  // Appends b, or (at >= 0) overwrites the bytes at file offset `at`.
+  void write(std::span<const std::uint8_t> b, ::off_t at = -1) {
     std::size_t written = 0;
     while (written < b.size()) {
       ::ssize_t n;
       if (const int fe = FTC_FAILPOINT("store.write.write")) {
         errno = fe;
         n = -1;
-      } else {
+      } else if (at < 0) {
         n = ::write(fd_.get(), b.data() + written, b.size() - written);
+      } else {
+        n = ::pwrite(fd_.get(), b.data() + written, b.size() - written,
+                     at + static_cast<::off_t>(written));
       }
       if (n < 0) {
         if (errno == EINTR) continue;
-        throw fail("write failed");
+        throw StoreIoError("write failed: " + tmp_);
       }
       written += static_cast<std::size_t>(n);
     }
   }
 
-  std::uint64_t offset() const { return offset_; }
-
-  // Patches the header checksums in place, then fsync + rename exactly
-  // like write_file_atomic. After this returns the container is durably
-  // at path_.
-  ContainerDigest finish() {
-    FTC_CHECK(offset_ >= store::kHeaderBytes, "container without header");
-    store_u64_le(header_ + 40, digest_);
-    store_u64_le(header_ + 56,
-                 store::fnv1a(std::span<const std::uint8_t>(header_, 56)));
-    std::size_t written = 0;
-    while (written < store::kHeaderBytes) {
-      ::ssize_t n;
-      if (const int fe = FTC_FAILPOINT("store.write.write")) {
-        errno = fe;
-        n = -1;
-      } else {
-        n = ::pwrite(fd_.get(), header_ + written,
-                     store::kHeaderBytes - written,
-                     static_cast<::off_t>(written));
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw fail("write failed");
-      }
-      written += static_cast<std::size_t>(n);
-    }
+  // fsync + close + rename into place + best-effort directory fsync.
+  // After this returns the file is durably at path.
+  void commit() {
     int rc;
     if (const int fe = FTC_FAILPOINT("store.write.fsync")) {
       errno = fe;
@@ -623,7 +478,7 @@ class FileSink {
     } else {
       rc = ::fsync(fd_.get());
     }
-    if (rc != 0) throw fail("fsync failed");
+    if (rc != 0) throw StoreIoError("fsync failed: " + tmp_);
     if (const int fe = FTC_FAILPOINT("store.write.close")) {
       errno = fe;
       fd_.reset();  // still close the real fd; the injected error wins
@@ -631,23 +486,19 @@ class FileSink {
     } else {
       rc = fd_.close_now();
     }
-    if (rc != 0) {
-      std::remove(tmp_.c_str());
-      finished_ = true;
-      throw StoreIoError("close failed: " + tmp_);
-    }
+    if (rc != 0) throw StoreIoError("close failed: " + tmp_);
     if (const int fe = FTC_FAILPOINT("store.write.rename")) {
       errno = fe;
       rc = -1;
     } else {
       rc = std::rename(tmp_.c_str(), path_.c_str());
     }
-    if (rc != 0) {
-      std::remove(tmp_.c_str());
-      finished_ = true;
-      throw StoreIoError("cannot rename " + tmp_ + " -> " + path_);
-    }
-    finished_ = true;
+    if (rc != 0) throw StoreIoError("cannot rename " + tmp_ + " -> " + path_);
+    committed_ = true;
+    // Persist the rename itself (best-effort: the data is already
+    // synced, and some filesystems reject directory fsync). The
+    // failpoint only counts the boundary — a skipped directory sync
+    // never fails a save.
     if (FTC_FAILPOINT("store.write.dirsync") == 0) {
       const std::size_t slash = path_.find_last_of('/');
       const std::string dir = slash == std::string::npos
@@ -657,27 +508,63 @@ class FileSink {
           ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
       if (dir_fd) ::fsync(dir_fd.get());
     }
-    return {offset_, digest_};
   }
 
  private:
-  StoreIoError fail(const std::string& what) {
-    fd_.reset();
-    std::remove(tmp_.c_str());
-    finished_ = true;
-    return StoreIoError(what + ": " + tmp_);
-  }
-
   const std::string path_;
   const std::string tmp_;
   util::ScopedFd fd_;
+  bool committed_ = false;
+};
+
+// Sink 2: stream straight to disk through the durable writer without
+// ever materializing the container. On top of DigestSink's payload
+// digest it keeps only the 64-byte header copy (it streams out with
+// zeroed checksum fields), patched with one pwrite at finish.
+class FileSink {
+ public:
+  explicit FileSink(const std::string& path) : file_(path) {}
+
+  void write(std::span<const std::uint8_t> b) {
+    const std::uint64_t off = digest_.offset();
+    if (off < store::kHeaderBytes) {
+      const std::size_t take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(b.size(), store::kHeaderBytes - off));
+      std::copy_n(b.data(), take, header_ + static_cast<std::size_t>(off));
+    }
+    digest_.write(b);
+    file_.write(b);
+  }
+
+  std::uint64_t offset() const { return digest_.offset(); }
+
+  // Patches the header checksums in place, then commits the file.
+  ContainerDigest finish() {
+    const ContainerDigest digest = digest_.finish();
+    FTC_CHECK(digest.file_bytes >= store::kHeaderBytes,
+              "container without header");
+    store_u64_le(header_ + 40, digest.payload_checksum);
+    store_u64_le(header_ + 56,
+                 store::fnv1a(std::span<const std::uint8_t>(header_, 56)));
+    file_.write(header_, /*at=*/0);
+    file_.commit();
+    return digest;
+  }
+
+ private:
+  DurableFile file_;
+  DigestSink digest_;
   std::uint8_t header_[store::kHeaderBytes] = {};
-  std::uint64_t offset_ = 0;
-  std::uint64_t digest_ = store::kFnvBasis;
-  bool finished_ = false;
 };
 
 }  // namespace
+
+void write_file_atomic(const std::string& path,
+                       std::span<const std::uint8_t> file) {
+  DurableFile out(path);
+  out.write(file);
+  out.commit();
+}
 
 ContainerDigest write_container_streamed(const ConnectivityScheme& scheme,
                                          const std::string& path,

@@ -306,19 +306,8 @@ struct CsrAdjacency {
   void append(graph::VertexId v, std::vector<graph::EdgeId>& out) const;
 };
 
-// Serializes one container holding the scheme's labels restricted to
-// the given vertex/edge ranges — the whole scheme for save(), one shard
-// for save_sharded() (sharded_store.hpp). include_adjacency emits the
-// CSR side-table when the scheme carries one and requires the full
-// ranges (the lists name global edge IDs); shard containers pass false —
-// the manifest carries the adjacency instead.
-std::vector<std::uint8_t> build_container_bytes(
-    const ConnectivityScheme& scheme, graph::VertexId v_begin,
-    graph::VertexId v_end, graph::EdgeId e_begin, graph::EdgeId e_end,
-    bool include_adjacency);
-
 // The CSR adjacency section bytes for a scheme, or empty when it
-// carries no adjacency. Shared by the container writer above and the
+// carries no adjacency. Shared by the container writer below and the
 // manifest writer (sharded_store.cpp).
 std::vector<std::uint8_t> build_adjacency_section(
     const ConnectivityScheme& scheme);
@@ -333,14 +322,18 @@ struct ContainerDigest {
   std::uint64_t payload_checksum = 0;
 };
 
-// Streams the container for the given ranges straight to `path`: label
+// Streams one container holding the scheme's labels restricted to the
+// given vertex/edge ranges straight to `path` — the whole scheme for
+// save(), one shard for save_sharded() (sharded_store.hpp). Label
 // records are serialized in bounded chunks and written as they are
-// produced, so peak writer memory is O(chunk), not O(container). The
-// bytes, the temp-file + fsync + rename atomicity protocol, and the
-// store.write.* failpoint sites are IDENTICAL to build_container_bytes
-// + write_file_atomic (one shared emitter produces both). Returns the
-// written container's digest. Throws StoreIoError on I/O failure, with
-// the temp file removed.
+// produced, so peak writer memory is O(chunk), not O(container).
+// include_adjacency emits the CSR side-table when the scheme carries one
+// and requires the full ranges (the lists name global edge IDs); shard
+// containers pass false — the manifest carries the adjacency instead.
+// The file goes through the same durable writer as write_file_atomic
+// (temp file + fsync + rename, the same store.write.* failpoint sites).
+// Returns the written container's digest. Throws StoreIoError on I/O
+// failure, with the temp file removed.
 ContainerDigest write_container_streamed(const ConnectivityScheme& scheme,
                                          const std::string& path,
                                          graph::VertexId v_begin,
@@ -358,11 +351,12 @@ ContainerDigest digest_container(const ConnectivityScheme& scheme,
                                  graph::EdgeId e_begin, graph::EdgeId e_end,
                                  bool include_adjacency);
 
-// Durable atomic file write shared by the container and manifest
-// writers: unique temp file (per process and per call) + fsync + rename
+// Durable atomic file write for the manifest, journal and cache-blob
+// writers, through the same durable writer the container writer streams
+// into: unique temp file (per process and per call) + fsync + rename
 // into place + best-effort directory fsync, so a crashed, failed or
 // racing write never leaves a half-written artifact under the target
-// name. Throws StoreError on I/O failure.
+// name. Throws StoreIoError on I/O failure, with the temp file removed.
 void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes);
 

@@ -12,40 +12,13 @@
 // unchanged.
 #include "core/sharded_store.hpp"
 
-#include <thread>
-
 #include "core/shard_cache.hpp"
 #include "core/shard_source.hpp"
+#include "core/store_retry.hpp"
 
 namespace ftc::core {
 
 namespace {
-
-// Whole-object fetch under default_retry_policy(): transient transport
-// failures (StoreIoError) back off and retry; structural failures
-// (absent object, malformed response) throw through immediately. The
-// shard fetch path gets its retries from open_shard(); this helper
-// covers the metadata objects (manifest, journal) that are fetched
-// outside that loop.
-std::vector<std::uint8_t> fetch_with_retry(const ShardSource& source,
-                                           const std::string& name) {
-  const RetryPolicy policy = default_retry_policy();
-  const unsigned attempts = std::max(1u, policy.max_attempts);
-  std::chrono::microseconds backoff = policy.initial_backoff;
-  for (unsigned attempt = 1;; ++attempt) {
-    try {
-      return source.fetch(name);
-    } catch (const StoreIoError&) {
-      if (attempt >= attempts) throw;
-      std::this_thread::sleep_for(backoff);
-      backoff = std::chrono::microseconds(static_cast<std::int64_t>(
-          static_cast<double>(backoff.count()) * policy.multiplier));
-      if (policy.max_backoff.count() > 0 && backoff > policy.max_backoff) {
-        backoff = policy.max_backoff;
-      }
-    }
-  }
-}
 
 HttpEndpoint parse_store_url(const std::string& url) {
   HttpEndpoint ep;
@@ -69,9 +42,11 @@ std::shared_ptr<const RemoteStoreView> RemoteStoreView::open(
   // The manifest is re-fetched on every open (it is the mutable part of
   // a store — epochs move by replacing it), but put_blob content-
   // addresses the copy, so reopening an unchanged epoch rewrites
-  // nothing.
-  const std::vector<std::uint8_t> manifest_bytes =
-      fetch_with_retry(*source, ep.object);
+  // nothing. Transient transport failures retry here; shard fetches get
+  // their retries from open_shard().
+  std::vector<std::uint8_t> manifest_bytes;
+  detail::retry_transient(
+      [&] { manifest_bytes = source->fetch(ep.object); });
   const std::string local_manifest = cache->put_blob("manifest",
                                                      manifest_bytes);
 
@@ -100,10 +75,14 @@ std::string fetch_remote_journal(const std::string& store_url) {
   const HttpEndpoint ep = parse_store_url(store_url);
   const HttpShardSource source(ep.host, ep.port, ep.dir);
   const std::string journal_name = ep.object + ".jrnl";
-  std::uint64_t size = 0;
-  if (!source.stat(journal_name, &size)) return std::string();
-  const std::vector<std::uint8_t> bytes =
-      fetch_with_retry(source, journal_name);
+  // The existence probe retries like the fetch: one refused HEAD must
+  // not fail the load of a journaled store.
+  bool present = false;
+  detail::retry_transient(
+      [&] { present = source.stat(journal_name, nullptr); });
+  if (!present) return std::string();
+  std::vector<std::uint8_t> bytes;
+  detail::retry_transient([&] { bytes = source.fetch(journal_name); });
   return default_remote_cache()->put_blob("journal", bytes);
 }
 

@@ -13,7 +13,9 @@
 //    fixed-layout records for all three backends, where the scheme
 //    parameters are stored once per container and every decode is
 //    validated against them (mismatch -> StoreError, never UB).
+#include <bit>
 #include <cstring>
+#include <span>
 
 #include "core/ftc_labels.hpp"
 #include "core/label_store.hpp"
@@ -152,6 +154,30 @@ void check(bool ok, const char* what) {
   if (!ok) throw StoreError(what);
 }
 
+// Label payloads are u64 words, the bulk of every edge blob: on a
+// little-endian host the words already are the on-disk bytes, so they
+// move as one block instead of a per-word loop — the hottest loops of
+// save, digest and prepare_faults, whose speed swung with where the
+// linker placed them.
+void put_words(ByteWriter& w, std::span<const std::uint64_t> words) {
+  if constexpr (std::endian::native == std::endian::little) {
+    w.bytes({reinterpret_cast<const std::uint8_t*>(words.data()),
+             words.size() * sizeof(std::uint64_t)});
+  } else {
+    for (const std::uint64_t word : words) w.u64(word);
+  }
+}
+
+void get_words(ByteReader& r, std::span<std::uint64_t> words) {
+  const auto bytes = r.take(words.size() * sizeof(std::uint64_t));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(words.data(), bytes.data(), bytes.size());
+  } else {
+    ByteReader le(bytes);
+    for (std::uint64_t& word : words) word = le.u64();
+  }
+}
+
 }  // namespace
 
 void encode_core_params(const LabelParams& p,
@@ -263,7 +289,7 @@ void encode_core_edge(const EdgeLabel& label, ByteWriter& w) {
   w.u32(label.upper.tout);
   w.u32(label.lower.tin);
   w.u32(label.lower.tout);
-  for (const std::uint64_t word : label.sketch_words) w.u64(word);
+  put_words(w, label.sketch_words);
 }
 
 EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params) {
@@ -276,7 +302,7 @@ EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params) {
   const std::size_t expect = static_cast<std::size_t>(params.num_levels) *
                              params.k * params.words_per_elem();
   label.sketch_words.resize(expect);
-  for (std::uint64_t& word : label.sketch_words) word = r.u64();
+  get_words(r, label.sketch_words);
   return label;
 }
 
@@ -294,7 +320,7 @@ void encode_cycle_edge(const dp21::CsEdgeLabel& label, ByteWriter& w) {
   w.u32(label.a.tout);
   w.u32(label.b.tin);
   w.u32(label.b.tout);
-  for (const std::uint64_t word : label.vec) w.u64(word);
+  put_words(w, label.vec);
 }
 
 dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params) {
@@ -310,7 +336,7 @@ dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params) {
   label.b.tin = r.u32();
   label.b.tout = r.u32();
   label.vec.resize(params.vector_words());
-  for (std::uint64_t& word : label.vec) word = r.u64();
+  get_words(r, label.vec);
   return label;
 }
 
@@ -325,7 +351,7 @@ void encode_agm_edge(const dp21::AgmEdgeLabel& label, ByteWriter& w) {
   w.u32(label.lower.tout);
   std::vector<std::uint64_t> words;
   label.sketch.append_words(words);
-  for (const std::uint64_t word : words) w.u64(word);
+  put_words(w, words);
 }
 
 dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params) {
@@ -335,7 +361,7 @@ dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params) {
   label.lower.tin = r.u32();
   label.lower.tout = r.u32();
   std::vector<std::uint64_t> words(params.sketch_words());
-  for (std::uint64_t& word : words) word = r.u64();
+  get_words(r, words);
   label.sketch = sketch::AgmSketch::from_words(params.levels, params.reps,
                                                params.seed, words);
   return label;

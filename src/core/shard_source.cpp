@@ -9,9 +9,11 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "util/common.hpp"
@@ -308,7 +310,11 @@ HttpShardSource::Response HttpShardSource::round_trip(
           std::uint64_t cl = 0;
           bool any = false;
           while (v < eol && head[v] >= '0' && head[v] <= '9') {
-            cl = cl * 10 + static_cast<std::uint64_t>(head[v] - '0');
+            const auto digit = static_cast<std::uint64_t>(head[v] - '0');
+            if (cl > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+              throw StoreError("remote Content-Length out of range: " + where);
+            }
+            cl = cl * 10 + digit;
             ++v;
             any = true;
           }
@@ -325,7 +331,17 @@ HttpShardSource::Response HttpShardSource::round_trip(
 
   // Body: what arrived with the headers plus the rest of the stream.
   body.assign(head.begin() + static_cast<std::ptrdiff_t>(body_start), head.end());
-  if (resp.has_content_length) body.reserve(resp.content_length);
+  // The length is the origin's claim, not a fact: reserve it only up to
+  // a bounded chunk past what has arrived. A shard-sized body still lands
+  // in one allocation; a lying header costs at most that much untouched
+  // address space and then a short read (StoreIoError below), never an
+  // allocation failure. Past the chunk the buffer grows with the bytes
+  // that actually arrive.
+  constexpr std::uint64_t kMaxReserveAhead = std::uint64_t{64} << 20;
+  if (resp.has_content_length) {
+    body.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+        resp.content_length, body.size() + kMaxReserveAhead)));
+  }
   {
     char buf[64 * 1024];
     for (;;) {

@@ -76,10 +76,10 @@ class ShardSource {
 
 // The local-directory source: fetch-by-name over plain file reads from
 // one directory — the transport the sharded view's path-based opens
-// always implied, now behind the same interface the HTTP source
-// implements. Also the read half of ftc_store serve (shard_server.hpp),
-// so the bytes a loopback server hands out go through exactly this
-// code.
+// always implied, behind the same interface the HTTP source implements
+// (the shard-cache tests fill the cache through it). ftc_store serve does
+// not read through it: ShardHttpServer opens and streams its files
+// itself (shard_server.cpp).
 class LocalDirShardSource final : public ShardSource {
  public:
   // dir: directory the names resolve under ("" = current directory; a

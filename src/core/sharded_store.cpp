@@ -27,9 +27,11 @@
 #include <utility>
 
 #include "core/shard_source.hpp"
+#include "core/store_retry.hpp"
 #include "util/digest.hpp"
 #include "util/failpoint.hpp"
 #include "util/scoped_fd.hpp"
+#include "util/worker_pool.hpp"
 
 namespace ftc::core {
 
@@ -69,6 +71,28 @@ RetryPolicy policy_from_env() {
 RetryPolicy& default_retry_policy() {
   static RetryPolicy policy = policy_from_env();
   return policy;
+}
+
+void detail::retry_transient(const std::function<void()>& attempt,
+                             unsigned* attempts) {
+  const RetryPolicy policy = default_retry_policy();
+  const unsigned budget = std::max(1u, policy.max_attempts);
+  std::chrono::microseconds backoff = policy.initial_backoff;
+  for (unsigned n = 1;; ++n) {
+    if (attempts != nullptr) *attempts = n;
+    try {
+      attempt();
+      return;
+    } catch (const StoreIoError&) {
+      if (n >= budget) throw;
+    }
+    std::this_thread::sleep_for(backoff);
+    backoff = std::chrono::microseconds(static_cast<std::int64_t>(
+        static_cast<double>(backoff.count()) * policy.multiplier));
+    if (policy.max_backoff.count() > 0 && backoff > policy.max_backoff) {
+      backoff = policy.max_backoff;
+    }
+  }
 }
 
 namespace {
@@ -217,12 +241,13 @@ DeltaPushStats save_sharded_impl(const ConnectivityScheme& scheme,
   const std::string stage_suffix =
       ".stage." + std::to_string(static_cast<long>(::getpid()));
 
-  // Build the shard containers in parallel: serialization only reads the
-  // (immutable) scheme, and every worker writes distinct files. Every
-  // shard is STAGED under a temp name first and renamed onto its final
-  // name only once all of them built, so a failed save never disturbs a
-  // prior generation living under this path; the manifest goes last, so
-  // a crash mid-save never publishes a manifest naming missing shards.
+  // Build the shard containers in parallel (striped over a
+  // util::WorkerPool): serialization only reads the (immutable) scheme,
+  // and every worker writes distinct files. Every shard is STAGED under
+  // a temp name first and renamed onto its final name only once all of
+  // them built, so a failed save never disturbs a prior generation
+  // living under this path; the manifest goes last, so a crash mid-save
+  // never publishes a manifest naming missing shards.
   // Shards stream straight from the scheme to disk
   // (write_container_streamed), so peak save memory per worker is one
   // flush chunk, not one shard image. In delta mode a no-I/O digest
@@ -285,20 +310,12 @@ DeltaPushStats save_sharded_impl(const ConnectivityScheme& scheme,
   };
 
   try {
-    const unsigned workers = std::min<unsigned>(
-        num_shards, std::max(1u, std::thread::hardware_concurrency()));
-    if (workers <= 1) {
-      for (unsigned k = 0; k < num_shards; ++k) build_shard(k);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-          for (unsigned k = w; k < num_shards; k += workers) build_shard(k);
-        });
-      }
-      for (std::thread& t : threads) t.join();
-    }
+    const unsigned workers = std::min(
+        num_shards, util::WorkerPool::resolve_threads(/*requested=*/0));
+    util::WorkerPool pool;
+    pool.run(workers, [&](unsigned w) {
+      for (unsigned k = w; k < num_shards; k += workers) build_shard(k);
+    });
     for (const std::exception_ptr& e : errors) {
       if (e) std::rethrow_exception(e);
     }
@@ -797,29 +814,18 @@ std::shared_ptr<const LabelStoreView> ShardedStoreView::open_shard(
   // cannot help). Either way, an exhausted shard is quarantined so the
   // next query over its range degrades instantly instead of re-paying
   // the open + backoff.
-  const RetryPolicy policy = default_retry_policy();
-  const unsigned attempts = std::max(1u, policy.max_attempts);
-  std::chrono::microseconds backoff = policy.initial_backoff;
-  for (unsigned attempt = 1;; ++attempt) {
-    try {
-      return open_shard_once(k);
-    } catch (const StoreIoError& e) {
-      if (attempt >= attempts) {
-        quarantine_shard(k, std::string(e.what()) + " (after " +
-                                std::to_string(attempt) + " attempts)");
-        throw_degraded(k);
-      }
-      std::this_thread::sleep_for(backoff);
-      backoff = std::chrono::microseconds(static_cast<std::int64_t>(
-          static_cast<double>(backoff.count()) * policy.multiplier));
-      if (policy.max_backoff.count() > 0 && backoff > policy.max_backoff) {
-        backoff = policy.max_backoff;
-      }
-    } catch (const StoreError& e) {
-      quarantine_shard(k, e.what());
-      throw_degraded(k);
-    }
+  unsigned attempts = 0;
+  try {
+    std::shared_ptr<const LabelStoreView> view;
+    detail::retry_transient([&] { view = open_shard_once(k); }, &attempts);
+    return view;
+  } catch (const StoreIoError& e) {
+    quarantine_shard(k, std::string(e.what()) + " (after " +
+                            std::to_string(attempts) + " attempts)");
+  } catch (const StoreError& e) {
+    quarantine_shard(k, e.what());
   }
+  throw_degraded(k);
 }
 
 void ShardedStoreView::quarantine_shard(std::size_t k,
@@ -937,13 +943,14 @@ void ShardedStoreView::open_shards(bool degraded) {
   stats.shard_us.assign(num_shards, 0.0);
   stats.shards_adopted = adopted_count_;
 
-  // Work-stealing over shard indices (the save_sharded writer pattern):
-  // every worker pulls the next unclaimed shard and maps + verifies it
-  // into its own slot. The view is not shared yet, so slots need no lock.
+  // Work-stealing over shard indices on a util::WorkerPool (the pool the
+  // builders and save_sharded run on): every worker pulls the next
+  // unclaimed shard and maps + verifies it into its own slot. The view
+  // is not shared yet, so slots need no lock.
   std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::exception_ptr error;
-  const auto worker = [&] {
+  const auto worker = [&](unsigned /*id*/) {
     for (;;) {
       const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
       if (k >= num_shards) return;
@@ -971,14 +978,11 @@ void ShardedStoreView::open_shards(bool degraded) {
   };
 
   const auto threads = static_cast<unsigned>(std::min<std::size_t>(
-      std::max(1u, std::thread::hardware_concurrency()),
+      util::WorkerPool::resolve_threads(/*requested=*/0),
       std::max<std::size_t>(num_shards - adopted_count_, 1)));
   stats.threads = threads;
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (unsigned w = 1; w < threads; ++w) pool.emplace_back(worker);
-  worker();
-  for (std::thread& t : pool) t.join();
+  util::WorkerPool pool;
+  pool.run(threads, worker);
   if (error) std::rethrow_exception(error);
 
   stats.shards_opened = shards_open() - adopted_count_;

@@ -55,6 +55,7 @@ int parse_errno(const std::string& text) {
       {"ENFILE", ENFILE}, {"ENOENT", ENOENT}, {"EACCES", EACCES},
       {"EAGAIN", EAGAIN}, {"EBADF", EBADF},   {"EFAULT", EFAULT},
       {"ENOMEM", ENOMEM}, {"EROFS", EROFS},   {"EDQUOT", EDQUOT},
+      {"ECONNREFUSED", ECONNREFUSED},
   };
   if (const auto it = kNames.find(text); it != kNames.end()) return it->second;
   std::size_t pos = 0;

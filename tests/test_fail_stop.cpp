@@ -92,6 +92,71 @@ TEST_P(FailStop, UndersizedKAnswersExactlyOrRefuses) {
   EXPECT_EQ(store.answered, mem.answered);
 }
 
+// The wide sweep: k 1-4 x f {4, 8, 12} over three graph families, both
+// serving paths, 72k attacked queries per path and field. Too slow for
+// tier-1; `scripts/ci.sh fail-stop` runs it with
+// --gtest_also_run_disabled_tests.
+TEST_P(FailStop, DISABLED_WideSweepAnswersExactlyOrRefuses) {
+  struct Family {
+    const char* name;
+    Graph g;
+  };
+  const Family families[] = {
+      {"random_connected", graph::random_connected(48, 240, 5)},
+      {"grid", graph::grid(7, 7)},
+      {"path_of_cliques", graph::path_of_cliques(8, 6)},
+  };
+  Outcome total;
+  SplitMix64 rng(0x5ee9);
+  for (const Family& family : families) {
+    const Graph& g = family.g;
+    for (unsigned k = 1; k <= 4; ++k) {
+      for (const unsigned f : {4u, 8u, 12u}) {
+        SchemeConfig cfg;
+        cfg.set_f(f);
+        cfg.ftc.k_override = k;
+        cfg.ftc.field = GetParam();
+        const auto in_memory = make_scheme(g, cfg);
+        const std::string path =
+            ::testing::TempDir() + "ftc_failstop_sweep_" +
+            std::to_string(static_cast<int>(GetParam())) + "_" +
+            std::to_string(::getpid()) + ".ftcs";
+        in_memory->save(path);
+        const auto served = load_scheme(path);
+        std::remove(path.c_str());
+
+        Outcome mem;
+        Outcome store;
+        for (int round = 0; round < 100; ++round) {
+          std::vector<EdgeId> faults;
+          for (unsigned i = 0; i < f; ++i) {
+            faults.push_back(
+                static_cast<EdgeId>(rng.next_below(g.num_edges())));
+          }
+          for (int q = 0; q < 20; ++q) {
+            const auto s =
+                static_cast<VertexId>(rng.next_below(g.num_vertices()));
+            const auto t =
+                static_cast<VertexId>(rng.next_below(g.num_vertices()));
+            attack(*in_memory, g, s, t, faults, family.name, &mem);
+            attack(*served, g, s, t, faults, family.name, &store);
+            if (HasFatalFailure()) {
+              ADD_FAILURE() << family.name << " k=" << k << " f=" << f;
+              return;
+            }
+          }
+        }
+        EXPECT_EQ(store.refused, mem.refused)
+            << family.name << " k=" << k << " f=" << f;
+        total.answered += mem.answered;
+        total.refused += mem.refused;
+      }
+    }
+  }
+  EXPECT_GT(total.refused, 0u);
+  EXPECT_GT(total.answered, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Fields, FailStop,
                          ::testing::Values(FieldKind::kGF64,
                                            FieldKind::kGF128),

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -280,19 +281,71 @@ TEST(FaultInjection, MapOpenFailureIsTypedStoreIoError) {
   }
 }
 
+// Names in `dir` shaped like a durable-writer temp file
+// ("<target>.tmp.<pid>.<serial>").
+std::vector<std::string> temp_files_in(const std::filesystem::path& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp.") != std::string::npos) out.push_back(name);
+  }
+  return out;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Both callers of the one durable writer — the streaming container
+// writer (save) and the whole-buffer write_file_atomic (a journal
+// append) — must fail every boundary typed, keep the prior file intact
+// and leave no temp file behind.
 TEST(FaultInjection, WriteBoundaryFailuresAreTypedAndLeaveNoFile) {
   const Graph g = graph::random_connected(24, 60, 7);
   const auto scheme = make_scheme(g, test_config(2));
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("ftc_fi_write_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string journal = (dir / "store.ftcs.jrnl").string();
+  const std::uint64_t digest = 0x5eed;
+  DeletionJournal::append(journal, digest, 4, std::vector<EdgeId>{1});
+  const std::string prior_journal = file_bytes(journal);
+  ASSERT_FALSE(prior_journal.empty());
+
   for (const char* site : {"store.write.open", "store.write.write",
                            "store.write.fsync", "store.write.close",
                            "store.write.rename"}) {
-    StoreFile store(std::string("write_") + site);
-    failpoint::Scoped fp(site, "once:ENOSPC");
-    EXPECT_THROW(scheme->save(store.path()), StoreIoError) << site;
+    const std::string store =
+        (dir / (std::string("write_") + site + ".ftcs")).string();
+    {
+      failpoint::Scoped fp(site, "once:ENOSPC");
+      EXPECT_THROW(scheme->save(store), StoreIoError) << site;
+    }
     struct stat st{};
-    EXPECT_NE(::stat(store.path().c_str(), &st), 0)
+    EXPECT_NE(::stat(store.c_str(), &st), 0)
         << site << ": aborted save must not leave a store file";
+
+    {
+      failpoint::Scoped fp(site, "once:ENOSPC");
+      EXPECT_THROW(
+          DeletionJournal::append(journal, digest, 4, std::vector<EdgeId>{2}),
+          StoreIoError)
+          << site;
+    }
+    EXPECT_EQ(file_bytes(journal), prior_journal)
+        << site << ": aborted append must leave the prior journal unchanged";
+    EXPECT_EQ(temp_files_in(dir), std::vector<std::string>{})
+        << site << ": aborted writes must not leave temp files";
   }
+  // The journal still takes the append once the boundary heals.
+  EXPECT_EQ(
+      DeletionJournal::append(journal, digest, 4, std::vector<EdgeId>{2}), 2u);
+  EXPECT_EQ(temp_files_in(dir), std::vector<std::string>{});
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FaultInjection, SniffFailuresAreTyped) {

@@ -8,7 +8,10 @@
 // transport faults follow the same retry → quarantine → DegradedError
 // ladder as local I/O faults — healthy shards keep serving throughout.
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
 #include <dirent.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -16,6 +19,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/batch_engine.hpp"
@@ -30,6 +34,7 @@
 #include "graph/generators.hpp"
 #include "util/common.hpp"
 #include "util/failpoint.hpp"
+#include "util/scoped_fd.hpp"
 
 namespace ftc::core {
 namespace {
@@ -171,8 +176,70 @@ TEST(ShardHttpSource, ConnectFailureIsTransient) {
   EXPECT_THROW((void)src.fetch("store.ftcm"), StoreIoError);
 }
 
-// ------------------------------------------------------------------
-// RemoteStoreView: parity, eager fetch, warm cache.
+// A raw one-shot origin on loopback: accepts one connection, drains the
+// request head, answers with `response` verbatim and closes — for
+// responses the real server never sends.
+class OneShotOrigin {
+ public:
+  explicit OneShotOrigin(std::string response)
+      : listen_fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(listen_fd_.get(), reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_.get(), 1), 0);
+    EXPECT_EQ(::getsockname(listen_fd_.get(),
+                            reinterpret_cast<sockaddr*>(&addr), &len),
+              0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, response = std::move(response)] {
+      const util::ScopedFd conn(::accept(listen_fd_.get(), nullptr, nullptr));
+      if (!conn) return;  // shut down before any client came
+      std::string head;
+      char buf[1024];
+      while (head.find("\r\n\r\n") == std::string::npos) {
+        const ssize_t n = ::recv(conn.get(), buf, sizeof(buf), 0);
+        if (n <= 0) return;
+        head.append(buf, static_cast<std::size_t>(n));
+      }
+      (void)::send(conn.get(), response.data(), response.size(), MSG_NOSIGNAL);
+    });
+  }
+  ~OneShotOrigin() {
+    ::shutdown(listen_fd_.get(), SHUT_RDWR);  // unblocks an idle accept
+    thread_.join();
+  }
+  std::uint16_t port() const { return port_; }
+
+ private:
+  util::ScopedFd listen_fd_;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(ShardHttpSource, BadContentLengthFailsTyped) {
+  // An overflowing length, the u64 maximum and a huge length over a
+  // 3-byte body: each must end in the typed ladder (StoreError or its
+  // StoreIoError subclass), never length_error or bad_alloc.
+  for (const char* length :
+       {"18446744073709551615", "12345678901234567890123", "4000000000000"}) {
+    OneShotOrigin origin(std::string("HTTP/1.1 200 OK\r\nContent-Length: ") +
+                         length + "\r\nConnection: close\r\n\r\nabc");
+    const HttpShardSource src("127.0.0.1", origin.port(), "/");
+    try {
+      (void)src.fetch("store.ftcm");
+      ADD_FAILURE() << length << ": fetch of a lying origin succeeded";
+    } catch (const StoreError&) {
+      // Typed: the retry/quarantine ladder handles it.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << length << ": untyped " << e.what();
+    }
+  }
+}
+
 
 TEST(RemoteStore, BlobsAndInfoMatchLocalOpen) {
   ServedStore served("parity", 4);
@@ -475,6 +542,26 @@ TEST(RemoteStore, JournalSidecarReplaysSameAsLocal) {
   EXPECT_EQ(remote_session.num_faults(), local_session.num_faults());
   EXPECT_EQ(remote_session.run_sequential(queries),
             local_session.run_sequential(queries));
+}
+
+TEST(RemoteStoreFaults, JournalProbeRetriesTransientConnectFailure) {
+  ServedStore served("journal_probe", 2, 37);
+  ScratchDir cache_dir("journal_probe_cache");
+  const ScopedDefaultCache cache(cache_dir.path());
+  const ScopedRetryPolicy policy(3, std::chrono::microseconds(50));
+  const auto view = ShardedStoreView::open(served.manifest());
+  DeletionJournal::append(journal_path_for(served.manifest()),
+                          view->info().payload_checksum, 3,
+                          std::vector<EdgeId>{4});
+
+  // The HEAD probe's first connect is refused: the probe retries like
+  // the fetch does, and the journal still arrives.
+  failpoint::Scoped fp("remote.connect", "once:ECONNREFUSED");
+  const std::string local = fetch_remote_journal(served.url());
+  EXPECT_GE(fp.hits(), 3u);  // refused probe + retried probe + fetch
+  ASSERT_FALSE(local.empty());
+  EXPECT_EQ(read_file(local),
+            read_file(journal_path_for(served.manifest())));
 }
 
 // ------------------------------------------------------------------

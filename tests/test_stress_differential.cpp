@@ -14,6 +14,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -333,11 +335,23 @@ TEST_P(StressDifferential, ParallelBuildsMatchSerialAcrossFamilies) {
     const auto parallel = make_scheme(g, cfg);
 
     // Store-byte equality: the strongest statement — every label, every
-    // parameter, every checksum identical.
-    const auto serial_bytes = store::build_container_bytes(
-        *serial, 0, g.num_vertices(), 0, g.num_edges(), true);
-    const auto parallel_bytes = store::build_container_bytes(
-        *parallel, 0, g.num_vertices(), 0, g.num_edges(), true);
+    // parameter, every checksum identical — over the bytes save() wrote.
+    const auto saved_bytes = [&](const ConnectivityScheme& scheme,
+                                 const char* tag) {
+      const std::string path =
+          ::testing::TempDir() + "ftc_pbstress_" + tag + "_" +
+          std::to_string(static_cast<int>(GetParam())) + "_" +
+          std::to_string(::getpid()) + ".ftcs";
+      scheme.save(path);
+      std::ifstream in(path, std::ios::binary);
+      std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+      std::remove(path.c_str());
+      return bytes;
+    };
+    const auto serial_bytes = saved_bytes(*serial, "serial");
+    const auto parallel_bytes = saved_bytes(*parallel, "parallel");
+    ASSERT_FALSE(serial_bytes.empty());
     EXPECT_EQ(parallel_bytes, serial_bytes)
         << "REPLAY (family=" << sweep.family << ", n=" << sweep.n
         << ", seed=" << sweep.seed << ") backend=" << backend_name(GetParam())
