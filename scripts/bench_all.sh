@@ -23,7 +23,7 @@ cmake --preset release
 cmake --build --preset release -j "$jobs"
 
 ran=0
-for bin in build/bench_*; do
+for bin in build-release/bench_*; do
   [ -x "$bin" ] || continue
   name="$(basename "$bin")"
   case "$name" in

@@ -2,7 +2,8 @@
 # CI entry point: release build + tests, then Debug+ASan/UBSan build +
 # tests. Any ctest failure in any leg fails the script (set -e), so a
 # regression in either preset is a CI regression. Run from anywhere;
-# builds land in <repo>/build and <repo>/build-asan.
+# builds land in <repo>/build-release and <repo>/build-asan (the
+# tier-1 command owns <repo>/build, a Makefiles tree).
 #
 #   scripts/ci.sh             # both presets, full suite
 #   scripts/ci.sh release     # just the release leg
@@ -79,6 +80,12 @@
 #                             # of test_fail_stop, GF(2^64) and
 #                             # GF(2^128), in-memory and mmap-served —
 #                             # every query exact or FtcCapacityError
+#   scripts/ci.sh stress-large # large-n differential (release): one
+#                             # core-ftc instance per generator family
+#                             # with n >= 50K, served from an 8-shard
+#                             # store; 300 queries each, stored vs built
+#                             # vs BFS (the disabled
+#                             # StressDifferentialLarge cases)
 #   scripts/ci.sh docs        # documentation leg: every relative link in
 #                             # README.md and docs/*.md must resolve to a
 #                             # file in the repo (dead links fail)
@@ -109,6 +116,16 @@ if [ "${1:-}" = "fail-stop" ]; then
   UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
     build-asan/test_fail_stop --gtest_also_run_disabled_tests
   echo "ci: fail-stop sweep green under asan"
+  exit 0
+fi
+
+if [ "${1:-}" = "stress-large" ]; then
+  echo "=== large-n stress leg (release) ==="
+  cmake --preset release
+  cmake --build --preset release -j "$jobs" --target test_stress_differential
+  build-release/test_stress_differential --gtest_also_run_disabled_tests \
+    --gtest_filter='StressDifferentialLarge.*'
+  echo "ci: large-n stress leg green (stored vs built vs BFS, n >= 50K)"
   exit 0
 fi
 
@@ -512,20 +529,20 @@ if [ "${1:-}" = "bench-smoke" ]; then
     --target bench_decoder_hotpath bench_vertex_faults bench_shard_swap \
     bench_delta_push bench_fault_injection bench_remote_fetch \
     bench_build_scaling
-  # Run inside build/ so the smoke-size JSON cannot clobber the
+  # Run inside build-release/ so the smoke-size JSON cannot clobber the
   # checked-in repo-root baseline (regenerate that via bench_all.sh).
-  (cd build && ./bench_decoder_hotpath --smoke)
-  (cd build && ./bench_vertex_faults --smoke)
-  (cd build && ./bench_shard_swap --smoke)
-  (cd build && ./bench_delta_push --smoke)
-  (cd build && ./bench_fault_injection --smoke)
-  (cd build && ./bench_remote_fetch --smoke)
-  (cd build && ./bench_build_scaling --smoke)
+  (cd build-release && ./bench_decoder_hotpath --smoke)
+  (cd build-release && ./bench_vertex_faults --smoke)
+  (cd build-release && ./bench_shard_swap --smoke)
+  (cd build-release && ./bench_delta_push --smoke)
+  (cd build-release && ./bench_fault_injection --smoke)
+  (cd build-release && ./bench_remote_fetch --smoke)
+  (cd build-release && ./bench_build_scaling --smoke)
   if command -v python3 >/dev/null; then
-    python3 - build/BENCH_decoder_hotpath.json build/BENCH_vertex_faults.json \
-      build/BENCH_shard_swap.json build/BENCH_delta_push.json \
-      build/BENCH_fault_injection.json build/BENCH_remote_fetch.json \
-      build/BENCH_build_scaling.json <<'EOF'
+    python3 - build-release/BENCH_decoder_hotpath.json build-release/BENCH_vertex_faults.json \
+      build-release/BENCH_shard_swap.json build-release/BENCH_delta_push.json \
+      build-release/BENCH_fault_injection.json build-release/BENCH_remote_fetch.json \
+      build-release/BENCH_build_scaling.json <<'EOF'
 import json, sys
 required = {
     "BENCH_decoder_hotpath.json": {"backend", "f", "single_query_us",
@@ -560,7 +577,7 @@ required = {
 # The build-scaling bench hard-fails in-process on a digest mismatch;
 # the recorded flag must therefore always be true — a false here means
 # the bench's own gate was bypassed.
-with open("build/BENCH_build_scaling.json") as fh:
+with open("build-release/BENCH_build_scaling.json") as fh:
     scaling = json.load(fh)
 assert all(r["digest_matches_serial"] for r in scaling), \
     "parallel build digest mismatch recorded in BENCH_build_scaling.json"
@@ -569,7 +586,7 @@ assert all(r["hierarchy_ms"] + r["sketch_ms"] <= r["build_ms"]
            for r in scaling), \
     "build phases exceed the timed build in BENCH_build_scaling.json"
 # The decoder's "batch" column must really fan out to its thread count.
-with open("build/BENCH_decoder_hotpath.json") as fh:
+with open("build-release/BENCH_decoder_hotpath.json") as fh:
     assert all(r["batch_threads"] == 4 for r in json.load(fh)), \
         "bench_decoder_hotpath batch did not fan out to 4 threads"
 for path in sys.argv[1:]:
@@ -594,12 +611,12 @@ EOF
   else
     # Degraded check without python3: the files must exist and at least
     # look like non-empty JSON arrays of objects.
-    grep -q '^\[{.*}\]$' build/BENCH_decoder_hotpath.json
-    grep -q '^\[{.*}\]$' build/BENCH_vertex_faults.json
-    grep -q '^\[{.*}\]$' build/BENCH_shard_swap.json
-    grep -q '^\[{.*}\]$' build/BENCH_fault_injection.json
-    grep -q '^\[{.*}\]$' build/BENCH_remote_fetch.json
-    grep -q '^\[{.*}\]$' build/BENCH_build_scaling.json
+    grep -q '^\[{.*}\]$' build-release/BENCH_decoder_hotpath.json
+    grep -q '^\[{.*}\]$' build-release/BENCH_vertex_faults.json
+    grep -q '^\[{.*}\]$' build-release/BENCH_shard_swap.json
+    grep -q '^\[{.*}\]$' build-release/BENCH_fault_injection.json
+    grep -q '^\[{.*}\]$' build-release/BENCH_remote_fetch.json
+    grep -q '^\[{.*}\]$' build-release/BENCH_build_scaling.json
     echo "bench-smoke: JSON shape check passed (python3 unavailable)"
   fi
   echo "ci: bench smoke green"

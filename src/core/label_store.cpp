@@ -1,18 +1,12 @@
-// LabelStore implementation: container writer (ConnectivityScheme::save),
-// validating mmap reader (LabelStoreView), and the loaded label-served
-// backends behind load_scheme().
+// LabelStore implementation: the container writer
+// (ConnectivityScheme::save and the streamed shard writer), the
+// validating mmap reader (LabelStoreView) and load_scheme(path).
 //
-// A loaded scheme is the labeling-scheme model made literal: it holds no
-// graph and no construction state, only the label blobs, and answers
-// queries through the same universal decoders as the in-memory backends.
-// The per-query cost is two 8-byte vertex-record reads from the mapping —
-// no std::vector is materialized on the query path; only
-// the <= f fault-edge labels of a session are decoded, once, inside
-// prepare_faults(). The served hot path is therefore the shared one: the
-// core backend queries through PreparedFaults + the copy-on-write
-// DecoderWorkspace of core/ftc_query.cpp, and all fragment/sketch merges
-// (core RS sums, AGM cells, cycle-space vectors) go through the word-XOR
-// kernels in util/xor_kernel.hpp.
+// The schemes load_scheme() serves are built in connectivity_scheme.cpp
+// by the same per-backend adapter as in-memory builds, over a stored
+// label source: two 8-byte vertex-record reads from the mapping per
+// query, and only the <= f fault-edge labels of a session decoded, once,
+// inside prepare_faults().
 #include "core/label_store.hpp"
 
 #include <fcntl.h>
@@ -27,9 +21,7 @@
 #include <cstring>
 #include <utility>
 
-#include "core/ftc_query.hpp"
 #include "core/journal.hpp"
-#include "core/scheme_adapters.hpp"
 #include "util/failpoint.hpp"
 #include "util/scoped_fd.hpp"
 
@@ -54,61 +46,6 @@ std::uint32_t read_u32_at(const std::uint8_t* base, std::size_t offset) {
 }  // namespace
 
 namespace store {
-
-// Fixed per-edge blob size implied by the params blob, used to
-// cross-check the offset index at open.
-std::size_t expected_edge_blob_bytes(BackendKind backend,
-                                     std::span<const std::uint8_t> params,
-                                     std::uint32_t version) {
-  store::ByteReader r(params);
-  std::size_t expect = 0;
-  switch (backend) {
-    case BackendKind::kCoreFtc:
-      expect =
-          store::core_edge_blob_bytes(store::decode_core_params(r, version));
-      break;
-    case BackendKind::kDp21CycleSpace:
-      expect = store::cycle_edge_blob_bytes(store::decode_cycle_params(r));
-      break;
-    case BackendKind::kDp21Agm:
-      expect = store::agm_edge_blob_bytes(store::decode_agm_params(r));
-      break;
-  }
-  if (r.remaining() != 0) {
-    throw StoreError("params blob size inconsistent with backend");
-  }
-  return expect;
-}
-
-StoreLabelBits derive_label_bits(BackendKind backend,
-                                 std::span<const std::uint8_t> params,
-                                 std::uint32_t version) {
-  store::ByteReader r(params);
-  StoreLabelBits bits;
-  switch (backend) {
-    case BackendKind::kCoreFtc: {
-      const LabelParams p = store::decode_core_params(r, version);
-      bits.vertex_label_bits = 2 * p.coord_bits();
-      bits.edge_label_bits = 4 * p.coord_bits() +
-                             static_cast<std::size_t>(p.num_levels) * p.k *
-                                 p.field_bits;
-      break;
-    }
-    case BackendKind::kDp21CycleSpace: {
-      const store::CycleParams p = store::decode_cycle_params(r);
-      bits.vertex_label_bits = 2 * p.coord_bits;
-      bits.edge_label_bits = 4 * p.coord_bits + p.vector_bits + 1;
-      break;
-    }
-    case BackendKind::kDp21Agm: {
-      const store::AgmParams p = store::decode_agm_params(r);
-      bits.vertex_label_bits = 2 * p.coord_bits;
-      bits.edge_label_bits = 4 * p.coord_bits + p.sketch_words() * 64;
-      break;
-    }
-  }
-  return bits;
-}
 
 void CsrAdjacency::validate(const std::string& path) const {
   // Exact CSR accounting: (n + 1) u64 offsets + 2m u32 edge IDs.
@@ -845,321 +782,6 @@ std::size_t LabelStoreView::adjacency_degree(VertexId v) const {
 void LabelStoreView::adjacency_append(VertexId v,
                                       std::vector<graph::EdgeId>& out) const {
   adj_.append(v, out);
-}
-
-// ------------------------------------------------------------------
-// Loaded (label-served) backends.
-
-namespace {
-
-// The store-served backends wrap the same per-backend session state as
-// the in-memory adapters; the wrappers are shared (scheme_adapters.hpp)
-// so the two serving paths cannot drift apart.
-using detail::BackendWorkspace;
-using detail::PreparedFaultSet;
-using detail::checked_cast;
-
-using CoreStoredFaults = PreparedFaultSet<PreparedFaults>;
-using CoreStoredWorkspace = BackendWorkspace<DecoderWorkspace>;
-using CycleStoredFaults = PreparedFaultSet<dp21::CycleSpaceFtc::Prepared>;
-using AgmStoredFaults = PreparedFaultSet<dp21::AgmFtc::Prepared>;
-using AgmStoredWorkspace = BackendWorkspace<dp21::AgmFtc::Workspace>;
-using EmptyStoredWorkspace = detail::EmptyWorkspace;
-
-// Zero-copy adjacency provider over the mapped v2 side-table: degrees
-// and incidence lists decode on the fly from the (validated) CSR
-// section, so serving vertex faults costs no load-time materialization.
-class MappedAdjacency final : public AdjacencyProvider {
- public:
-  explicit MappedAdjacency(std::shared_ptr<const StoreView> view)
-      : view_(std::move(view)) {}
-
-  VertexId num_vertices() const override {
-    return view_->info().num_vertices;
-  }
-  std::size_t degree(VertexId v) const override {
-    return view_->adjacency_degree(v);
-  }
-  void append_incident(VertexId v,
-                       std::vector<EdgeId>& out) const override {
-    view_->adjacency_append(v, out);
-  }
-
- private:
-  std::shared_ptr<const StoreView> view_;
-};
-
-// Shared plumbing: the mapping, header-derived sizes, the adjacency
-// side-table (when the container carries one), and save() support by
-// re-emitting the stored blobs (a loaded store round-trips bit-exactly).
-class StoredSchemeBase : public ConnectivityScheme {
- public:
-  explicit StoredSchemeBase(std::shared_ptr<const StoreView> view)
-      : view_(std::move(view)), routes_(view_->routes()) {
-    if (view_->info().has_adjacency) {
-      adjacency_ = std::make_unique<MappedAdjacency>(view_);
-    }
-  }
-
-  VertexId num_vertices() const override {
-    return view_->info().num_vertices;
-  }
-  EdgeId num_edges() const override { return view_->info().num_edges; }
-  std::size_t vertex_label_bits() const override {
-    return view_->info().vertex_label_bits;
-  }
-  std::size_t edge_label_bits() const override {
-    return view_->info().edge_label_bits;
-  }
-
-  // Vertex-fault capability is exactly "the container had the side-table".
-  const AdjacencyProvider* adjacency() const override {
-    return adjacency_.get();
-  }
-
-  void serialize_params(store::ByteWriter& out) const override {
-    out.bytes(view_->params_blob());
-  }
-  void serialize_vertex_label(VertexId v,
-                              store::ByteWriter& out) const override {
-    out.bytes(view_->vertex_blob(v));
-  }
-  void serialize_edge_label(EdgeId e, store::ByteWriter& out) const override {
-    out.bytes(view_->edge_blob(e));
-  }
-
-  // The backing view, so a swap can thread the serving generation's
-  // mappings through open_store_view(path, verify, reuse_from) and adopt
-  // unchanged shards across a delta push.
-  std::shared_ptr<const StoreView> store_view() const override {
-    return view_;
-  }
-
- protected:
-  // Both endpoint ancestry records under ONE SIGBUS guard — the only
-  // mapped reads of an edge-fault query. A backing file mutated behind
-  // the mapping lands in on_mapped_fault (the sharded view quarantines
-  // the shard and throws DegradedError) instead of killing the process.
-  // Cost when nothing faults: one sigsetjmp with no mask save — noise
-  // against the decode the query then runs.
-  std::pair<graph::AncestryLabel, graph::AncestryLabel> anc_pair(
-      VertexId s, VertexId t) const {
-    FTC_REQUIRE(s < routes_.num_vertices, "vertex out of range");
-    FTC_REQUIRE(t < routes_.num_vertices, "vertex out of range");
-    const std::uint8_t* ps = routes_.vertex_ptr[s];
-    const std::uint8_t* pt = routes_.vertex_ptr[t];
-    util::SigbusGuard guard;
-    if (sigsetjmp(guard.jump(), 0) == 0) {
-      guard.arm();
-      const graph::AncestryLabel a = store::decode_vertex_record_at(ps);
-      const graph::AncestryLabel b = store::decode_vertex_record_at(pt);
-      return {a, b};
-    }
-    view_->on_mapped_fault(guard.fault_addr());
-    __builtin_unreachable();  // noreturn through a virtual call
-  }
-
-  // Copies one edge blob out of the mapping under a SIGBUS guard; the
-  // decoder then runs on the owned copy, unguarded (it allocates).
-  // Prepare-time only (<= f blobs per fault set), so the copy is off
-  // the per-query path.
-  std::vector<std::uint8_t> copy_edge_blob(EdgeId e) const {
-    FTC_REQUIRE(e < routes_.num_edges, "edge out of range");
-    const std::uint8_t* src = routes_.edge_ptr[e];
-    std::vector<std::uint8_t> out(routes_.edge_blob_bytes);
-    util::SigbusGuard guard;
-    if (sigsetjmp(guard.jump(), 0) == 0) {
-      guard.arm();
-      std::memcpy(out.data(), src, out.size());
-      return out;
-    }
-    view_->on_mapped_fault(guard.fault_addr());
-    __builtin_unreachable();  // noreturn through a virtual call
-  }
-
-  std::shared_ptr<const StoreView> view_;
-  // Bound once: load_scheme() refuses views with null entries, so the
-  // hot path reads it unchecked.
-  const store::FlatRoutes& routes_;
-  std::unique_ptr<AdjacencyProvider> adjacency_;  // null: v1 container
-};
-
-class StoredCoreScheme final : public StoredSchemeBase {
- public:
-  explicit StoredCoreScheme(std::shared_ptr<const StoreView> view)
-      : StoredSchemeBase(std::move(view)) {
-    store::ByteReader pr(view_->params_blob());
-    params_ = store::decode_core_params(pr, view_->info().format_version,
-                                        &level_bounds_);
-  }
-
-  BackendKind backend() const override { return BackendKind::kCoreFtc; }
-
-  std::unique_ptr<Workspace> make_workspace() const override {
-    return std::make_unique<CoreStoredWorkspace>();
-  }
-
-  // Re-encode instead of re-emitting the stored blob: a v1 container's
-  // core params carry no bounds fields, and save() always writes format
-  // v2 (the re-encode emits count 0 then; for v2 inputs it reproduces
-  // the stored bytes exactly, keeping re-saves byte-identical).
-  void serialize_params(store::ByteWriter& out) const override {
-    store::encode_core_params(params_, level_bounds_, out);
-  }
-
- protected:
-  std::unique_ptr<FaultSet> prepare_edge_faults(
-      std::span<const EdgeId> edge_faults) const override {
-    std::vector<EdgeLabel> labels;
-    labels.reserve(edge_faults.size());
-    for (const EdgeId e : edge_faults) {
-      labels.push_back(decode_edge(e));
-    }
-    // v2 containers carry the builder's per-level population bounds, so
-    // store-served decodes run the same shrunken windows.
-    auto prepared = PreparedFaults::prepare(labels, level_bounds_);
-    const std::size_t nf = prepared.num_faults();
-    return std::make_unique<CoreStoredFaults>(std::move(prepared), nf);
-  }
-
-  bool query_edges(VertexId s, VertexId t, const FaultSet& faults,
-                   Workspace& workspace,
-                   const QueryOptions& options) const override {
-    const auto& fs = checked_cast<const CoreStoredFaults&>(
-        faults, "fault set from a different backend");
-    auto& ws = checked_cast<CoreStoredWorkspace&>(
-        workspace, "workspace from a different backend");
-    const auto [anc_s, anc_t] = anc_pair(s, t);
-    return FtcDecoder::connected(VertexLabel{params_, anc_s},
-                                 VertexLabel{params_, anc_t}, fs.prepared(),
-                                 ws.inner(), options);
-  }
-
- private:
-  EdgeLabel decode_edge(EdgeId e) const {
-    const std::vector<std::uint8_t> blob = copy_edge_blob(e);
-    store::ByteReader r(blob);
-    return store::decode_core_edge(r, params_);
-  }
-
-  LabelParams params_;
-  std::vector<std::uint32_t> level_bounds_;  // empty for v1 containers
-};
-
-class StoredCycleScheme final : public StoredSchemeBase {
- public:
-  explicit StoredCycleScheme(std::shared_ptr<const StoreView> view)
-      : StoredSchemeBase(std::move(view)) {
-    store::ByteReader pr(view_->params_blob());
-    params_ = store::decode_cycle_params(pr);
-  }
-
-  BackendKind backend() const override {
-    return BackendKind::kDp21CycleSpace;
-  }
-
-  std::unique_ptr<Workspace> make_workspace() const override {
-    return std::make_unique<EmptyStoredWorkspace>();
-  }
-
- protected:
-  std::unique_ptr<FaultSet> prepare_edge_faults(
-      std::span<const EdgeId> edge_faults) const override {
-    std::vector<dp21::CsEdgeLabel> labels;
-    labels.reserve(edge_faults.size());
-    for (const EdgeId e : edge_faults) {
-      labels.push_back(decode_edge(e));
-    }
-    return std::make_unique<CycleStoredFaults>(
-        dp21::CycleSpaceFtc::Prepared::prepare(labels), labels.size());
-  }
-
-  bool query_edges(VertexId s, VertexId t, const FaultSet& faults,
-                   Workspace& /*workspace*/,
-                   const QueryOptions& /*options*/) const override {
-    const auto& fs = checked_cast<const CycleStoredFaults&>(
-        faults, "fault set from a different backend");
-    const auto [anc_s, anc_t] = anc_pair(s, t);
-    return dp21::CycleSpaceFtc::connected(dp21::CsVertexLabel{anc_s},
-                                          dp21::CsVertexLabel{anc_t},
-                                          fs.prepared());
-  }
-
- private:
-  dp21::CsEdgeLabel decode_edge(EdgeId e) const {
-    const std::vector<std::uint8_t> blob = copy_edge_blob(e);
-    store::ByteReader r(blob);
-    return store::decode_cycle_edge(r, params_);
-  }
-
-  store::CycleParams params_;
-};
-
-class StoredAgmScheme final : public StoredSchemeBase {
- public:
-  explicit StoredAgmScheme(std::shared_ptr<const StoreView> view)
-      : StoredSchemeBase(std::move(view)) {
-    store::ByteReader pr(view_->params_blob());
-    params_ = store::decode_agm_params(pr);
-  }
-
-  BackendKind backend() const override { return BackendKind::kDp21Agm; }
-
-  std::unique_ptr<Workspace> make_workspace() const override {
-    return std::make_unique<AgmStoredWorkspace>();
-  }
-
- protected:
-  std::unique_ptr<FaultSet> prepare_edge_faults(
-      std::span<const EdgeId> edge_faults) const override {
-    std::vector<dp21::AgmEdgeLabel> labels;
-    labels.reserve(edge_faults.size());
-    for (const EdgeId e : edge_faults) {
-      labels.push_back(decode_edge(e));
-    }
-    return std::make_unique<AgmStoredFaults>(
-        dp21::AgmFtc::Prepared::prepare(labels), labels.size());
-  }
-
-  bool query_edges(VertexId s, VertexId t, const FaultSet& faults,
-                   Workspace& workspace,
-                   const QueryOptions& /*options*/) const override {
-    const auto& fs = checked_cast<const AgmStoredFaults&>(
-        faults, "fault set from a different backend");
-    auto& ws = checked_cast<AgmStoredWorkspace&>(
-        workspace, "workspace from a different backend");
-    const auto [anc_s, anc_t] = anc_pair(s, t);
-    return dp21::AgmFtc::connected(dp21::AgmVertexLabel{anc_s},
-                                   dp21::AgmVertexLabel{anc_t},
-                                   fs.prepared(), ws.inner());
-  }
-
- private:
-  dp21::AgmEdgeLabel decode_edge(EdgeId e) const {
-    const std::vector<std::uint8_t> blob = copy_edge_blob(e);
-    store::ByteReader r(blob);
-    return store::decode_agm_edge(r, params_);
-  }
-
-  store::AgmParams params_;
-};
-
-}  // namespace
-
-std::unique_ptr<ConnectivityScheme> load_scheme(
-    std::shared_ptr<const StoreView> view) {
-  FTC_REQUIRE(view != nullptr, "null label store view");
-  view->require_complete();
-  switch (view->info().backend) {
-    case BackendKind::kCoreFtc:
-      return std::make_unique<StoredCoreScheme>(std::move(view));
-    case BackendKind::kDp21CycleSpace:
-      return std::make_unique<StoredCycleScheme>(std::move(view));
-    case BackendKind::kDp21Agm:
-      return std::make_unique<StoredAgmScheme>(std::move(view));
-  }
-  FTC_CHECK(false, "unknown BackendKind in validated store");
-  return nullptr;  // unreachable
 }
 
 std::unique_ptr<ConnectivityScheme> load_scheme(const std::string& path,

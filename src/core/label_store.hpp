@@ -461,8 +461,9 @@ class StoreView {
   const store::FlatRoutes& routes() const { return routes_; }
 
   // Does no work: open() already mapped and digest-verified every shard.
-  // Returns what that eager open recorded; `threads` is ignored. Kept so
-  // callers written against the old lazy open keep compiling.
+  // Returns what that eager open recorded; `threads` is ignored. Kept
+  // because the repository benchmark (perfbench/) calls it and reports
+  // its record.
   store::PrefetchStats prefetch(unsigned threads = 0) const {
     (void)threads;
     return open_stats_;

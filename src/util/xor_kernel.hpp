@@ -5,10 +5,11 @@
 // the per-fragment cut bitsets — is addition in characteristic 2, i.e.
 // XOR of flattened std::uint64_t arrays. Keeping the merge kernels here,
 // as plain restrict-qualified word loops, lets the compiler auto-vectorize
-// one implementation that is shared by the in-memory decoder
-// (core/ftc_query.cpp), the label-served backends behind load_scheme()
-// (core/label_store.cpp -> dp21/*, sketch/agm_sketch.cpp), and
-// prepare-time fragment-sum accumulation. bench_decoder_hotpath measures
+// one implementation that is shared by the core decoder
+// (core/ftc_query.cpp), the dp21 decoders (dp21/*, sketch/agm_sketch.cpp)
+// that built and store-served schemes alike reach through the one
+// per-backend adapter (core/connectivity_scheme.cpp), and prepare-time
+// fragment-sum accumulation. bench_decoder_hotpath measures
 // the result.
 #pragma once
 

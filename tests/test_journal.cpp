@@ -4,7 +4,7 @@
 // preset), the capacity accounting (CapacityError with budget /
 // journaled / requested), and replay parity — a journaled deletion must
 // be answer-identical to the same edge passed explicitly in the
-// FaultSpec, across every backend, both load modes, and the batch
+// FaultSpec, across every backend, the mmap-served load, and the batch
 // engine.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -46,6 +46,7 @@ class StoreFile {
   void cleanup() {
     std::remove(path_.c_str());
     std::remove(journal_path_for(path_).c_str());
+    std::remove((journal_path_for(path_) + ".lock").c_str());
   }
   std::string path_;
 };

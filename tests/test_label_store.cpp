@@ -1,7 +1,7 @@
 // LabelStore round-trip and adversarial-input coverage.
 //
-// Round-trip: every backend's labels, written through save() and loaded
-// back via the mmap view or the eager deserializer, must answer exactly
+// Round-trip: every backend's labels, written through save() (or
+// save_sharded()) and served back from the mmap view, must answer exactly
 // like the in-memory scheme that wrote them (cross-checked against the
 // BFS ground truth), including through BatchQueryEngine sessions spun up
 // straight from the file and the store-backed oracle facade.
@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "core/connectivity_scheme.hpp"
 #include "core/label_store.hpp"
 #include "core/oracle.hpp"
+#include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
@@ -51,12 +53,19 @@ class StoreFile {
   explicit StoreFile(const std::string& name)
       : path_(::testing::TempDir() + "ftc_store_" + name + "_" +
               std::to_string(::getpid()) + ".ftcs") {
-    std::remove(path_.c_str());
+    cleanup();
   }
-  ~StoreFile() { std::remove(path_.c_str()); }
+  ~StoreFile() { cleanup(); }
   const std::string& path() const { return path_; }
 
  private:
+  // A sharded save under this path also writes "<path>.shard<k>.ftcs".
+  void cleanup() {
+    std::remove(path_.c_str());
+    for (unsigned k = 0; k < 8; ++k) {
+      std::remove((path_ + ".shard" + std::to_string(k) + ".ftcs").c_str());
+    }
+  }
   std::string path_;
 };
 
@@ -94,8 +103,29 @@ std::vector<EdgeId> random_faults(SplitMix64& rng, const Graph& g,
 
 class LabelStoreParity : public ::testing::TestWithParam<BackendKind> {};
 
+// A mixed fault spec whose vertex reduction stays within the budget f:
+// one deleted vertex of degree <= f - 2, one of its incident edges
+// (named again by the reduction), and a random edge listed twice.
+FaultSpec mixed_faults(SplitMix64& rng, const Graph& g, unsigned f) {
+  VertexId v = 0;
+  do {
+    v = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+  } while (g.degree(v) + 2 > f);
+  const auto incident = g.incident_edges(v);
+  const EdgeId repeated = static_cast<EdgeId>(rng.next_below(g.num_edges()));
+  const std::vector<EdgeId> edges = {
+      incident[rng.next_below(incident.size())], repeated, repeated};
+  const std::vector<VertexId> vertices = {v};
+  return FaultSpec::of(edges, vertices);
+}
+
+// The built scheme and its single-container and 3-shard stores must
+// agree on label accounting, on the deduplicated fault count of every
+// prepared spec, and on every answer — edge faults and mixed edge +
+// vertex faults alike — and the answers must match BFS.
 TEST_P(LabelStoreParity, SaveLoadRoundTripMatchesInMemoryAndBfs) {
-  const unsigned f = 3;
+  // Room for the vertex reduction of mixed_faults().
+  const unsigned f = 8;
   struct Family {
     const char* name;
     Graph g;
@@ -108,29 +138,49 @@ TEST_P(LabelStoreParity, SaveLoadRoundTripMatchesInMemoryAndBfs) {
   for (const Family& fam : families) {
     const Graph& g = fam.g;
     const auto scheme = make_scheme(g, test_config(GetParam(), f));
-    StoreFile file(std::string("parity_") + fam.name + "_" +
-                   std::to_string(static_cast<int>(GetParam())));
+    const std::string tag = std::string(fam.name) + "_" +
+                            std::to_string(static_cast<int>(GetParam()));
+    StoreFile file("parity_" + tag);
+    StoreFile manifest("parity_sharded_" + tag);
     scheme->save(file.path());
+    save_sharded(*scheme, manifest.path(), 3);
 
-    // The mmap-served scheme against the in-memory make_scheme
-    // reference, and both against BFS ground truth.
-    const auto loaded = load_scheme(file.path());
-    EXPECT_EQ(loaded->backend(), GetParam());
-    EXPECT_EQ(loaded->num_vertices(), scheme->num_vertices());
-    EXPECT_EQ(loaded->num_edges(), scheme->num_edges());
-    EXPECT_EQ(loaded->vertex_label_bits(), scheme->vertex_label_bits());
-    EXPECT_EQ(loaded->edge_label_bits(), scheme->edge_label_bits());
+    struct Served {
+      const char* layout;
+      std::unique_ptr<ConnectivityScheme> scheme;
+    };
+    const Served served[] = {{"container", load_scheme(file.path())},
+                             {"3 shards", load_scheme(manifest.path())}};
+    for (const Served& entry : served) {
+      const ConnectivityScheme& loaded = *entry.scheme;
+      SCOPED_TRACE(std::string(fam.name) + ", " + entry.layout);
+      EXPECT_EQ(loaded.backend(), GetParam());
+      EXPECT_EQ(loaded.num_vertices(), scheme->num_vertices());
+      EXPECT_EQ(loaded.num_edges(), scheme->num_edges());
+      EXPECT_EQ(loaded.vertex_label_bits(), scheme->vertex_label_bits());
+      EXPECT_EQ(loaded.edge_label_bits(), scheme->edge_label_bits());
+      EXPECT_EQ(loaded.total_label_bits(), scheme->total_label_bits());
 
-    SplitMix64 rng(900 + static_cast<int>(GetParam()));
-    for (int it = 0; it < 25; ++it) {
-      const auto faults = random_faults(rng, g, f);
-      const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      const bool reference = scheme->connected(s, t, FaultSpec::edges(faults));
-      EXPECT_EQ(reference, graph::connected_avoiding(g, s, t, faults))
-          << fam.name << " it=" << it;
-      EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), reference)
-          << fam.name << " it=" << it;
+      SplitMix64 rng(900 + static_cast<int>(GetParam()));
+      for (int it = 0; it < 50; ++it) {
+        const bool mixed = it % 2 == 1;
+        const FaultSpec spec = mixed
+                                   ? mixed_faults(rng, g, f)
+                                   : FaultSpec::edges(random_faults(rng, g, f));
+        auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+        const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+        // Every few mixed specs query from the deleted vertex itself.
+        if (mixed && it % 6 == 1) s = spec.vertex_faults()[0];
+        const bool reference = scheme->connected(s, t, spec);
+        EXPECT_EQ(reference,
+                  graph::connected_avoiding(g, s, t, spec.edge_faults(),
+                                            spec.vertex_faults()))
+            << "it=" << it;
+        EXPECT_EQ(loaded.connected(s, t, spec), reference) << "it=" << it;
+        EXPECT_EQ(loaded.prepare_faults(spec)->num_faults(),
+                  scheme->prepare_faults(spec)->num_faults())
+            << "it=" << it;
+      }
     }
   }
 }

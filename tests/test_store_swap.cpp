@@ -81,6 +81,7 @@ class TempStore {
   void cleanup() {
     std::remove(path_.c_str());
     std::remove((path_ + ".jrnl").c_str());
+    std::remove((path_ + ".jrnl.lock").c_str());
     for (unsigned k = 0; k < 8; ++k) {
       std::remove((path_ + ".shard" + std::to_string(k) + ".ftcs").c_str());
     }

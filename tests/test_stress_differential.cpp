@@ -193,7 +193,7 @@ TEST_P(StressDifferential, SessionsAgreeWithOneShotAcrossAblations) {
 // edge+vertex fault sweeps vs the BFS ground truth, across all three
 // backends, through every serving path — one-shot connected(spec),
 // prepared sessions, BatchQueryEngine, and schemes served from a
-// format-v2 label store in both load modes.
+// format-v2 label store, as one container and as 3 shards.
 TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
   // Capacity headroom: <= 2 vertex faults * max degree + 2 edge faults.
   const unsigned f = 14;
@@ -381,6 +381,135 @@ TEST_P(StressDifferential, ParallelBuildsMatchSerialAcrossFamilies) {
           << " path=parallel";
     }
   }
+}
+
+// Large-n leg, disabled by default (scripts/ci.sh stress-large runs it on
+// the release preset with --gtest_also_run_disabled_tests): one instance
+// per generator family with at least 50K vertices, built with core-ftc,
+// saved as an 8-shard store and checked three ways — the store-served
+// scheme against the built one against BFS — over 300 random queries.
+// It exercises the stored label source and the flat route table at
+// sizes the sweeps above never reach. The sketch threshold is pinned to
+// its floor (k = 4) to bound label bytes at these edge counts: such a
+// practical k may refuse a query with FtcCapacityError, which both
+// schemes must then do alike, and which must stay rare.
+void check_large(const std::string& family, const Graph& g) {
+  ASSERT_GE(g.num_vertices(), 50000u) << family;
+  ASSERT_TRUE(graph::is_connected(g)) << family;
+  const unsigned f = 3;
+  SchemeConfig cfg = stress_config(BackendKind::kCoreFtc, f);
+  cfg.ftc.k_override = 4;
+  cfg.set_build_threads(0);  // same labels for any thread count
+  const auto built = make_scheme(g, cfg);
+
+  const std::string manifest = ::testing::TempDir() + "ftc_large_" + family +
+                               "_" + std::to_string(::getpid()) + ".ftcm";
+  save_sharded(*built, manifest, 8);
+  const auto stored = load_scheme(manifest);
+  ASSERT_EQ(stored->store_view()->info().num_shards, 8u);
+
+  // Outcome of one query: the answer, or a typed capacity refusal.
+  enum class Outcome { kDisconnected, kConnected, kRefused };
+  const auto ask = [](const ConnectivityScheme& scheme, VertexId s,
+                      VertexId t, const ConnectivityScheme::FaultSet& faults,
+                      ConnectivityScheme::Workspace& workspace) {
+    try {
+      return scheme.query(s, t, faults, workspace) ? Outcome::kConnected
+                                                   : Outcome::kDisconnected;
+    } catch (const FtcCapacityError&) {
+      return Outcome::kRefused;
+    }
+  };
+
+  SplitMix64 rng(mix_hash(g.num_vertices(), 0x1a26e));
+  const auto built_ws = built->make_workspace();
+  const auto stored_ws = stored->make_workspace();
+  unsigned answered = 0, disconnected = 0, isolating_rounds = 0;
+  for (int round = 0; round < 30; ++round) {
+    // Even rounds cut around the lowest-degree of a few sampled vertices
+    // (isolating it when its degree is at most f); every round fills up
+    // to f faults with random edges.
+    VertexId hub = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    for (int i = 0; i < 8; ++i) {
+      const auto v = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      if (g.degree(v) < g.degree(hub)) hub = v;
+    }
+    std::vector<EdgeId> faults;
+    if (round % 2 == 0) {
+      if (g.degree(hub) <= f) ++isolating_rounds;
+      for (const EdgeId e : g.incident_edges(hub)) {
+        if (faults.size() == f) break;
+        faults.push_back(e);
+      }
+    }
+    while (faults.size() < f) {
+      faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
+    }
+    const auto spec = FaultSpec::edges(faults);
+    const std::vector<int> component = graph::components_avoiding(g, faults);
+    const auto built_fs = built->prepare_faults(spec);
+    const auto stored_fs = stored->prepare_faults(spec);
+    EXPECT_EQ(stored_fs->num_faults(), built_fs->num_faults());
+
+    for (int q = 0; q < 10; ++q) {
+      const VertexId s = q == 0 ? hub
+                                : static_cast<VertexId>(
+                                      rng.next_below(g.num_vertices()));
+      const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const bool truth = component[s] == component[t];
+      const Outcome b = ask(*built, s, t, *built_fs, *built_ws);
+      const Outcome st = ask(*stored, s, t, *stored_fs, *stored_ws);
+      const std::string replay = "REPLAY (family=" + family +
+                                 ", round=" + std::to_string(round) +
+                                 ") faults=" + fault_list(faults) +
+                                 " s=" + std::to_string(s) +
+                                 " t=" + std::to_string(t);
+      EXPECT_EQ(st, b) << replay;
+      if (b == Outcome::kRefused) continue;
+      EXPECT_EQ(b == Outcome::kConnected, truth) << replay;
+      ++answered;
+      disconnected += truth ? 0 : 1;
+    }
+  }
+  // Refusals stay rare, and where a round isolated its hub (families
+  // with vertices of degree <= f) some pairs really were separated.
+  EXPECT_GE(answered, 270u) << family;
+  if (isolating_rounds > 0) {
+    EXPECT_GE(disconnected, 1u) << family;
+  }
+
+  std::remove(manifest.c_str());
+  for (int k = 0; k < 8; ++k) {
+    std::remove((manifest + ".shard" + std::to_string(k) + ".ftcs").c_str());
+  }
+}
+
+TEST(StressDifferentialLarge, DISABLED_Gnp) {
+  // Just above the connectivity threshold ln(n)/n, which keeps m near
+  // 320K.
+  const unsigned n = 50000;
+  check_large("gnp", graph::gnp(n, 1.2 * std::log(n) / n, 1));
+}
+
+TEST(StressDifferentialLarge, DISABLED_Grid) {
+  check_large("grid", graph::grid(224, 225));
+}
+
+TEST(StressDifferentialLarge, DISABLED_Barbell) {
+  check_large("barbell", graph::barbell(8, 50000));
+}
+
+TEST(StressDifferentialLarge, DISABLED_PathOfCliques) {
+  check_large("path_of_cliques", graph::path_of_cliques(12500, 4));
+}
+
+TEST(StressDifferentialLarge, DISABLED_PreferentialAttachment) {
+  check_large("preferential_attachment",
+              graph::preferential_attachment(50000, 3, 1));
+}
+
+TEST(StressDifferentialLarge, DISABLED_Hypercube) {
+  check_large("hypercube", graph::hypercube(16));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, StressDifferential,
