@@ -48,9 +48,10 @@
 #                             # asan run of the failpoint + SIGBUS +
 #                             # torture-sweep suites, then a CLI drill —
 #                             # env-armed ENOSPC aborts a push with the
-#                             # serving generation left fsck-clean, and a
+#                             # serving generation left fsck-clean, a
 #                             # truncated shard makes fsck exit 2 naming
-#                             # exactly that shard
+#                             # exactly that shard, and a missing path
+#                             # makes fsck exit 2 with a FAILED line
 #   scripts/ci.sh remote      # remote serving tier leg: asan run of the
 #                             # shard-cache + remote-store suites, then a
 #                             # loopback CLI e2e — ftc_store serve over a
@@ -60,8 +61,10 @@
 #                             # (retry-then-succeed, FTC_RETRY_ATTEMPTS
 #                             # tuning, quarantine on a dead origin
 #                             # shard), warm-cache serving through origin
-#                             # damage, and explicit fsck exit codes
-#                             # (0 clean / 2 damaged)
+#                             # damage, explicit fsck exit codes
+#                             # (0 clean / 2 damaged), and serve exiting
+#                             # 0 on SIGTERM with its summary line (LSan
+#                             # checks the whole origin lifecycle)
 #   scripts/ci.sh tsan        # ThreadSanitizer leg: tsan preset build +
 #                             # run of the concurrency-heavy suites
 #                             # (concurrent readers of one sharded view,
@@ -335,6 +338,11 @@ if [ "${1:-}" = "torture" ]; then
   [ "$(grep -c ': FAILED' "$tmp/fsck.out")" = "1" ]
   grep -q 'shard 0 .*: ok' "$tmp/fsck.out"
   grep -q 'shard 3 .*: ok' "$tmp/fsck.out"
+  # A path that does not exist is a failed check too: exit 2, FAILED.
+  rc=0; build-asan/ftc_store fsck "$tmp/absent.ftcm" > "$tmp/fsck_absent.out" \
+    || rc=$?
+  [ "$rc" = "2" ]
+  grep -q ': FAILED' "$tmp/fsck_absent.out"
   echo "ci: torture leg green (suites + env failpoint drill + fsck triage)"
   exit 0
 fi
@@ -366,7 +374,8 @@ if [ "${1:-}" = "remote" ]; then
   rc=0; build-asan/ftc_store fsck "$tmp/srv/labels.ftcm" >/dev/null || rc=$?
   [ "$rc" = "0" ]
 
-  build-asan/ftc_store serve "$tmp/srv" --port 0 > "$tmp/serve.out" &
+  build-asan/ftc_store serve "$tmp/srv" --port 0 > "$tmp/serve.out" \
+    2> "$tmp/serve.err" &
   server_pid=$!
   for _ in $(seq 1 100); do
     grep -q '^serving ' "$tmp/serve.out" 2>/dev/null && break
@@ -446,10 +455,19 @@ if [ "${1:-}" = "remote" ]; then
   [ "$rc" = "2" ]
   grep -q 'shard 2 .*: FAILED' "$tmp/fsck.out"
 
+  # SIGTERM must stop the origin cleanly: exit 0 with every thread
+  # joined, so LeakSanitizer gets to check the whole lifecycle, and the
+  # summary line on stderr.
   kill "$server_pid"
-  wait "$server_pid" 2>/dev/null || true
+  rc=0; wait "$server_pid" || rc=$?
   server_pid=""
-  echo "ci: remote leg green (suites + loopback parity + eviction + retry env + degraded serving + fsck exit codes)"
+  if [ "$rc" != "0" ]; then
+    echo "ci: ftc_store serve exited $rc after SIGTERM" >&2
+    cat "$tmp/serve.err" >&2
+    exit 1
+  fi
+  grep -q '^serve: stopped on signal 15 after ' "$tmp/serve.err"
+  echo "ci: remote leg green (suites + loopback parity + eviction + retry env + degraded serving + fsck exit codes + clean serve exit)"
   exit 0
 fi
 

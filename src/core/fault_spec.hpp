@@ -4,8 +4,8 @@
 // vertices (every incident edge goes down with them — the open-problems
 // reduction of Section 1.4, cost Delta * f labels) alongside individual
 // edges. FaultSpec is the canonical value type every layer accepts —
-// ConnectivityScheme::prepare_faults, BatchQueryEngine sessions,
-// ConnectivityOracle and the ftc_store CLI — so canonicalization
+// ConnectivityScheme::prepare_faults and connected, BatchQueryEngine
+// sessions and the ftc_store CLI — so canonicalization
 // (sorting + deduplication) happens exactly once, at construction, and
 // every consumer downstream can rely on sorted unique IDs.
 //

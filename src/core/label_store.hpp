@@ -435,10 +435,10 @@ struct StoreInfo {
 // LabelStoreView (one mmapped container file, below) and ShardedStoreView
 // (a manifest routing over K shard containers, sharded_store.hpp).
 // load_scheme() and everything downstream — the label-served backends,
-// BatchQueryEngine sessions, ConnectivityOracle::from_store — only ever
-// see this interface, so single-file and sharded stores serve queries
-// through identical code. Implementations are safe to share across
-// threads after a successful open.
+// BatchQueryEngine sessions — only ever see this interface, so
+// single-file and sharded stores serve queries through identical code.
+// Implementations are safe to share across threads after a successful
+// open.
 class StoreView {
  public:
   virtual ~StoreView() = default;
@@ -548,6 +548,14 @@ struct LoadOptions {
   // fault set. Off = serve the store as written, ignoring the sidecar.
   bool replay_journal = true;
 };
+
+// Reads the 8-byte magic that starts a local store file, as the
+// little-endian u64 that store::kMagic (container) and
+// store::kManifestMagic (sharded_store.hpp) name. Throws StoreIoError
+// when the file cannot be opened or read and StoreError when it is
+// shorter than the magic. The store.sniff.open / store.sniff.read
+// failpoints sit here. Implemented in sharded_store.cpp.
+std::uint64_t read_store_magic(const std::string& path);
 
 // Opens a store behind the common StoreView interface, dispatching on
 // the file magic: a single-container file yields a LabelStoreView, a

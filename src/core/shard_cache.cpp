@@ -139,7 +139,7 @@ ShardCacheStats ShardCache::stats() const {
   return out;
 }
 
-std::string ShardCache::fetch_shard(const ShardSource& source,
+std::string ShardCache::fetch_shard(const HttpShardSource& source,
                                     const store::ShardRecord& rec) {
   const std::string key = shard_key(rec);
   const std::string path = dir_ + key;
@@ -209,7 +209,7 @@ std::string ShardCache::fetch_shard(const ShardSource& source,
 }
 
 std::shared_ptr<const LabelStoreView> ShardCache::map_shard(
-    const ShardSource& source, const store::ShardRecord& rec,
+    const HttpShardSource& source, const store::ShardRecord& rec,
     bool verify_checksum) {
   const std::string key = shard_key(rec);
   {

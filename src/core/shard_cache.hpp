@@ -1,5 +1,5 @@
 // ShardCache: the digest-verified, byte-capacity-capped LRU staging
-// area between a ShardSource and the mmap-serving store views.
+// area between the HTTP shard source and the mmap-serving store views.
 //
 // A RemoteStoreView never maps network bytes directly: every shard is
 // fetched into this cache, verified against its manifest record (exact
@@ -75,7 +75,7 @@ class ShardCache {
   // StoreIoError when the transfer fails or the fetched bytes do not
   // match the record (both transient: the origin may be mid-republish),
   // StoreError for structural source failures (object absent).
-  std::string fetch_shard(const ShardSource& source,
+  std::string fetch_shard(const HttpShardSource& source,
                           const store::ShardRecord& rec);
 
   // fetch_shard + LabelStoreView::open, with the shard pinned against
@@ -84,7 +84,7 @@ class ShardCache {
   // bytes live as long as the returned view (see eviction above); the
   // unpin then evicts down to budget, keeping this shard as the MRU.
   std::shared_ptr<const LabelStoreView> map_shard(
-      const ShardSource& source, const store::ShardRecord& rec,
+      const HttpShardSource& source, const store::ShardRecord& rec,
       bool verify_checksum);
 
   // Stores an arbitrary verified blob (manifest, journal sidecar) under

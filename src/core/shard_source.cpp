@@ -1,11 +1,9 @@
 #include "core/shard_source.hpp"
 
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/time.h>
 #include <unistd.h>
 
@@ -14,7 +12,6 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "util/common.hpp"
 #include "util/failpoint.hpp"
@@ -29,85 +26,6 @@ std::string errno_suffix(int err) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// LocalDirShardSource
-
-LocalDirShardSource::LocalDirShardSource(std::string dir) : dir_(std::move(dir)) {
-  if (!dir_.empty() && dir_.back() != '/') dir_ += '/';
-}
-
-std::vector<std::uint8_t> LocalDirShardSource::fetch(const std::string& name) const {
-  const std::string path = dir_ + name;
-  util::ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
-  if (!fd) {
-    const int err = errno;
-    if (err == ENOENT || err == ENOTDIR) {
-      throw StoreError("shard source object not found: " + path);
-    }
-    throw StoreIoError("shard source open failed: " + path + errno_suffix(err));
-  }
-  struct stat st {};
-  if (::fstat(fd.get(), &st) != 0) {
-    throw StoreIoError("shard source stat failed: " + path + errno_suffix(errno));
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
-  if (!bytes.empty() && !util::read_full(fd.get(), bytes.data(), bytes.size())) {
-    // EOF-before-size means the file shrank mid-read — transient from
-    // the fetcher's point of view (a concurrent republish), retryable.
-    throw StoreIoError("shard source read failed: " + path +
-                       (errno != 0 ? errno_suffix(errno) : ": short read"));
-  }
-  return bytes;
-}
-
-std::vector<std::uint8_t> LocalDirShardSource::fetch_range(
-    const std::string& name, std::uint64_t offset, std::uint64_t length) const {
-  FTC_CHECK(length >= 1, "fetch_range needs a non-empty range");
-  const std::string path = dir_ + name;
-  util::ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
-  if (!fd) {
-    const int err = errno;
-    if (err == ENOENT || err == ENOTDIR) {
-      throw StoreError("shard source object not found: " + path);
-    }
-    throw StoreIoError("shard source open failed: " + path + errno_suffix(err));
-  }
-  struct stat st {};
-  if (::fstat(fd.get(), &st) != 0) {
-    throw StoreIoError("shard source stat failed: " + path + errno_suffix(errno));
-  }
-  if (offset + length > static_cast<std::uint64_t>(st.st_size)) {
-    throw StoreError("shard source range past end of object: " + path);
-  }
-  if (::lseek(fd.get(), static_cast<off_t>(offset), SEEK_SET) < 0) {
-    throw StoreIoError("shard source seek failed: " + path + errno_suffix(errno));
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(length));
-  if (!util::read_full(fd.get(), bytes.data(), bytes.size())) {
-    throw StoreIoError("shard source read failed: " + path +
-                       (errno != 0 ? errno_suffix(errno) : ": short read"));
-  }
-  return bytes;
-}
-
-bool LocalDirShardSource::stat(const std::string& name,
-                               std::uint64_t* size_out) const {
-  const std::string path = dir_ + name;
-  struct stat st {};
-  if (::stat(path.c_str(), &st) != 0) {
-    const int err = errno;
-    if (err == ENOENT || err == ENOTDIR) return false;
-    throw StoreIoError("shard source stat failed: " + path + errno_suffix(err));
-  }
-  if (!S_ISREG(st.st_mode)) return false;
-  if (size_out != nullptr) *size_out = static_cast<std::uint64_t>(st.st_size);
-  return true;
-}
-
-std::string LocalDirShardSource::describe(const std::string& name) const {
-  return dir_ + name;
-}
 
 // ---------------------------------------------------------------------------
 // URL parsing
@@ -194,8 +112,7 @@ std::string HttpShardSource::describe(const std::string& name) const {
 }
 
 HttpShardSource::Response HttpShardSource::round_trip(
-    const std::string& name, const char* method, bool want_body,
-    std::uint64_t range_off, std::uint64_t range_len) const {
+    const std::string& name, const char* method, bool want_body) const {
   const std::string where = describe(name);
 
   struct addrinfo hints {};
@@ -244,15 +161,9 @@ HttpShardSource::Response HttpShardSource::round_trip(
   ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 
-  std::ostringstream req;
-  req << method << ' ' << dir_ << name << " HTTP/1.1\r\n"
-      << "Host: " << host_ << ':' << port_ << "\r\n";
-  if (range_len > 0) {
-    req << "Range: bytes=" << range_off << '-' << (range_off + range_len - 1)
-        << "\r\n";
-  }
-  req << "Connection: close\r\n\r\n";
-  const std::string request = req.str();
+  const std::string request = std::string(method) + ' ' + dir_ + name +
+                              " HTTP/1.1\r\nHost: " + host_ + ':' +
+                              port_str + "\r\nConnection: close\r\n\r\n";
   send_all(fd.get(), request.data(), request.size(), where);
 
   // Read headers byte-buffered until the blank line.
@@ -385,39 +296,14 @@ namespace {
 }  // namespace
 
 std::vector<std::uint8_t> HttpShardSource::fetch(const std::string& name) const {
-  Response resp = round_trip(name, "GET", /*want_body=*/true, 0, 0);
+  Response resp = round_trip(name, "GET", /*want_body=*/true);
   if (resp.status != 200) throw_for_status(resp.status, describe(name));
   return std::move(resp.body);
 }
 
-std::vector<std::uint8_t> HttpShardSource::fetch_range(
-    const std::string& name, std::uint64_t offset, std::uint64_t length) const {
-  FTC_CHECK(length >= 1, "fetch_range needs a non-empty range");
-  Response resp = round_trip(name, "GET", /*want_body=*/true, offset, length);
-  if (resp.status == 206) {
-    if (resp.body.size() != length) {
-      throw StoreIoError("remote range response wrong size: " + describe(name));
-    }
-    return std::move(resp.body);
-  }
-  if (resp.status == 200) {
-    // Origin ignored the Range header; slice the full body ourselves.
-    if (offset + length > resp.body.size()) {
-      throw StoreError("remote range past end of object: " + describe(name));
-    }
-    return std::vector<std::uint8_t>(
-        resp.body.begin() + static_cast<std::ptrdiff_t>(offset),
-        resp.body.begin() + static_cast<std::ptrdiff_t>(offset + length));
-  }
-  if (resp.status == 416) {
-    throw StoreError("remote range past end of object: " + describe(name));
-  }
-  throw_for_status(resp.status, describe(name));
-}
-
 bool HttpShardSource::stat(const std::string& name,
                            std::uint64_t* size_out) const {
-  Response resp = round_trip(name, "HEAD", /*want_body=*/false, 0, 0);
+  Response resp = round_trip(name, "HEAD", /*want_body=*/false);
   if (resp.status == 404) return false;
   if (resp.status != 200) throw_for_status(resp.status, describe(name));
   if (!resp.has_content_length) {

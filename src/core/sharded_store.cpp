@@ -95,6 +95,20 @@ void detail::retry_transient(const std::function<void()>& attempt,
   }
 }
 
+bool store::is_safe_shard_name(std::string_view name) {
+  if (name.empty() || name.front() == '/') return false;
+  if (name.find('\0') != std::string_view::npos) return false;
+  std::size_t pos = 0;
+  while (pos <= name.size()) {
+    std::size_t next = name.find('/', pos);
+    if (next == std::string_view::npos) next = name.size();
+    const std::string_view seg = name.substr(pos, next - pos);
+    if (seg.empty() || seg == "." || seg == "..") return false;
+    pos = next + 1;
+  }
+  return true;
+}
+
 namespace {
 
 using graph::EdgeId;
@@ -108,28 +122,6 @@ std::pair<std::string, std::string> split_path(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) return {std::string(), path};
   return {path.substr(0, slash + 1), path.substr(slash + 1)};
-}
-
-// Shard names come from a checksummed but untrusted file; resolving one
-// must never escape the manifest's directory.
-void validate_shard_name(const std::string& name, const std::string& path) {
-  const auto fail = [&](const char* why) -> StoreError {
-    return StoreError(std::string("corrupt manifest (") + why +
-                      " in shard name): " + path);
-  };
-  if (name.empty()) throw fail("empty");
-  if (name.front() == '/') throw fail("absolute path");
-  if (name.find('\0') != std::string::npos) throw fail("NUL byte");
-  std::size_t pos = 0;
-  while (pos <= name.size()) {
-    std::size_t next = name.find('/', pos);
-    if (next == std::string::npos) next = name.size();
-    const std::string_view seg(name.data() + pos, next - pos);
-    if (seg.empty() || seg == "." || seg == "..") {
-      throw fail("path traversal segment");
-    }
-    pos = next + 1;
-  }
 }
 
 // What save_sharded_impl did to the file behind shard k, so error
@@ -642,7 +634,11 @@ void ShardedStoreView::read_manifest(
       }
       v_cursor = rec.vertex_end;
       e_cursor = rec.edge_end;
-      validate_shard_name(rec.name, path);
+      // Shard names come from a checksummed but untrusted file;
+      // resolving one must never escape the manifest's directory.
+      if (!store::is_safe_shard_name(rec.name)) {
+        throw StoreError("corrupt manifest (unsafe shard name): " + path);
+      }
       view->records_.push_back(std::move(rec));
     }
   });
@@ -1013,17 +1009,7 @@ std::size_t ShardedStoreView::shards_open() const {
 // ------------------------------------------------------------------
 // Magic dispatch.
 
-std::shared_ptr<const StoreView> open_store_view(
-    const std::string& path, bool verify_checksum,
-    const std::shared_ptr<const StoreView>& reuse_from) {
-  // URL dispatch comes before the sniff: a URL is not a local file, and
-  // every caller (load_scheme, swap_store, the CLI) reaches the remote
-  // tier through this one branch.
-  if (is_http_url(path)) {
-    return RemoteStoreView::open(
-        path, verify_checksum,
-        std::dynamic_pointer_cast<const ShardedStoreView>(reuse_from));
-  }
+std::uint64_t read_store_magic(const std::string& path) {
   util::ScopedFd fd;
   if (const int fe = FTC_FAILPOINT("store.sniff.open")) {
     errno = fe;
@@ -1051,6 +1037,21 @@ std::shared_ptr<const StoreView> open_store_view(
   }
   std::uint64_t magic = 0;
   for (int i = 0; i < 8; ++i) magic |= std::uint64_t{buf[i]} << (8 * i);
+  return magic;
+}
+
+std::shared_ptr<const StoreView> open_store_view(
+    const std::string& path, bool verify_checksum,
+    const std::shared_ptr<const StoreView>& reuse_from) {
+  // URL dispatch comes before the sniff: a URL is not a local file, and
+  // every caller (load_scheme, swap_store, the CLI) reaches the remote
+  // tier through this one branch.
+  if (is_http_url(path)) {
+    return RemoteStoreView::open(
+        path, verify_checksum,
+        std::dynamic_pointer_cast<const ShardedStoreView>(reuse_from));
+  }
+  const std::uint64_t magic = read_store_magic(path);
   if (magic == store::kMagic) {
     return LabelStoreView::open(path, verify_checksum);
   }

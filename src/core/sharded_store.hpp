@@ -84,6 +84,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/label_store.hpp"
@@ -178,6 +179,11 @@ struct ShardRecord {
 void encode_shard_record(const ShardRecord& rec, ByteWriter& w);
 ShardRecord decode_shard_record(ByteReader& r);
 
+// The traversal rule for shard and object names resolved under a store
+// directory (manifest shard names, origin request paths): false for an
+// empty or absolute name, a NUL byte, or an empty, "." or ".." segment.
+bool is_safe_shard_name(std::string_view name);
+
 }  // namespace store
 
 // Writes `scheme` as num_shards containers plus a manifest at
@@ -243,8 +249,8 @@ DeltaPushStats save_sharded_delta(const ConnectivityScheme& scheme,
 //
 // Subclassable at exactly one seam: map_shard() maps shard k. The base
 // class maps the file next to the manifest — the local-directory
-// transport. RemoteStoreView overrides it to pull the shard through a
-// ShardSource into the digest-verified ShardCache first; everything else
+// transport. RemoteStoreView overrides it to pull the shard over HTTP
+// into the digest-verified ShardCache first; everything else
 // (the eager open, retry, quarantine, routes, adoption) is shared.
 class ShardedStoreView : public StoreView {
  public:
@@ -391,8 +397,8 @@ class ShardedStoreView : public StoreView {
   std::size_t adopted_count_ = 0;  // set once at open()
 };
 
-class ShardSource;  // core/shard_source.hpp
-class ShardCache;   // core/shard_cache.hpp
+class HttpShardSource;  // core/shard_source.hpp
+class ShardCache;       // core/shard_cache.hpp
 
 // A sharded store served from an http:// manifest URL. The manifest is
 // fetched (with retry under default_retry_policy()), verified and
@@ -427,7 +433,7 @@ class RemoteStoreView final : public ShardedStoreView {
 
   std::string url_;
   std::shared_ptr<ShardCache> cache_;
-  std::shared_ptr<const ShardSource> source_;
+  std::shared_ptr<const HttpShardSource> source_;
 };
 
 // Fetches the deletion-journal sidecar "<store url>.jrnl" into the

@@ -4,7 +4,7 @@
 // save_sharded()) and served back from the mmap view, must answer exactly
 // like the in-memory scheme that wrote them (cross-checked against the
 // BFS ground truth), including through BatchQueryEngine sessions spun up
-// straight from the file and the store-backed oracle facade.
+// straight from the file.
 //
 // Adversarial: truncations, bad magic, unsupported versions, flipped
 // checksum/payload bytes and corrupt offset indices must throw the typed
@@ -22,7 +22,6 @@
 #include "core/batch_engine.hpp"
 #include "core/connectivity_scheme.hpp"
 #include "core/label_store.hpp"
-#include "core/oracle.hpp"
 #include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -238,19 +237,19 @@ TEST_P(LabelStoreParity, TenThousandQueryBatchMatchesInMemory) {
   }
 }
 
-// A format-v2 store carries the adjacency side-table, so the oracle
-// facade over a loaded scheme serves edge, vertex and mixed faults
-// exactly like the in-memory oracle that wrote it.
-TEST_P(LabelStoreParity, OracleFromStoreServesVertexAndMixedFaults) {
+// A format-v2 store carries the adjacency side-table, so a loaded
+// scheme serves edge, vertex and mixed faults exactly like the
+// in-memory scheme that wrote it.
+TEST_P(LabelStoreParity, LoadedSchemeServesVertexAndMixedFaults) {
   const Graph g = graph::barbell(8, 3);
   // Headroom for the Delta * f incident-edge reduction (Delta = 8 here).
   const auto scheme = make_scheme(g, test_config(GetParam(), 10));
-  StoreFile file("oracle_" + std::to_string(static_cast<int>(GetParam())));
+  StoreFile file("mixed_" + std::to_string(static_cast<int>(GetParam())));
   scheme->save(file.path());
 
-  const ConnectivityOracle oracle = ConnectivityOracle::from_store(file.path());
-  EXPECT_EQ(oracle.scheme().backend(), GetParam());
-  EXPECT_TRUE(oracle.supports_vertex_faults());
+  const auto loaded = load_scheme(file.path());
+  EXPECT_EQ(loaded->backend(), GetParam());
+  EXPECT_NE(loaded->adjacency(), nullptr);
   SplitMix64 rng(5);
   for (int it = 0; it < 20; ++it) {
     const auto edge_faults = random_faults(rng, g, 2);
@@ -262,7 +261,7 @@ TEST_P(LabelStoreParity, OracleFromStoreServesVertexAndMixedFaults) {
     const auto spec = FaultSpec::of(edge_faults, vertex_faults);
     const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
     const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    EXPECT_EQ(oracle.connected(s, t, spec),
+    EXPECT_EQ(loaded->connected(s, t, spec),
               graph::connected_avoiding(g, s, t, edge_faults, vertex_faults))
         << "it=" << it;
   }
@@ -578,10 +577,7 @@ TEST_P(LabelStoreV1Compat, VertexFaultsRaiseTypedCapabilityError) {
                CapabilityError);
   EXPECT_THROW((void)loaded->connected(0, 2, FaultSpec::vertices(vf)),
                CapabilityError);
-  const ConnectivityOracle oracle = ConnectivityOracle::from_store(path);
-  EXPECT_FALSE(oracle.supports_vertex_faults());
-  EXPECT_THROW((void)oracle.connected(0, 2, FaultSpec::vertices(vf)),
-               CapabilityError);
+  EXPECT_EQ(loaded->adjacency(), nullptr);
   // Edge-only specs keep working through the same session API.
   BatchQueryEngine session(load_scheme(path),
                            FaultSpec::edges(std::vector<EdgeId>{0, 3}));

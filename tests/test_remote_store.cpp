@@ -133,7 +133,30 @@ struct ServedStore {
 // ------------------------------------------------------------------
 // HttpShardSource against the in-process origin: the raw transport.
 
-TEST(ShardHttpServer, ServesObjectsRangesAndStats) {
+// Sends `request` verbatim to the loopback origin on `port` and returns
+// everything it answers up to EOF.
+std::string raw_exchange(std::uint16_t port, const std::string& request) {
+  const util::ScopedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  EXPECT_EQ(::send(fd.get(), request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd.get(), buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  return response;
+}
+
+TEST(ShardHttpServer, ServesWholeObjectsAndStats) {
   ServedStore served("httpsrv", 2);
   const HttpShardSource src("127.0.0.1", served.server.port(), "/");
 
@@ -141,26 +164,40 @@ TEST(ShardHttpServer, ServesObjectsRangesAndStats) {
   const auto fetched = src.fetch("store.ftcm");
   EXPECT_EQ(fetched, disk);
 
-  const auto slice = src.fetch_range("store.ftcm", 8, 32);
-  ASSERT_EQ(slice.size(), 32u);
-  EXPECT_TRUE(spans_equal(
-      slice, std::span<const std::uint8_t>(disk).subspan(8, 32)));
-
   std::uint64_t size = 0;
   ASSERT_TRUE(src.stat("store.ftcm", &size));
   EXPECT_EQ(size, disk.size());
   EXPECT_FALSE(src.stat("absent.ftcm", &size));
-  EXPECT_THROW((void)src.fetch("absent.ftcm"), StoreError);
-  EXPECT_THROW((void)src.fetch_range("store.ftcm", disk.size(), 1),
-               StoreError);
+  // Not-found is structural (plain StoreError): retrying cannot conjure
+  // the bytes, so it must not match the retry filter.
+  try {
+    (void)src.fetch("absent.ftcm");
+    ADD_FAILURE() << "fetch of an absent object succeeded";
+  } catch (const StoreIoError&) {
+    ADD_FAILURE() << "not-found must not be the retryable subclass";
+  } catch (const StoreError&) {
+  }
   // Traversal attempts must 404, never escape the served directory.
   EXPECT_THROW((void)src.fetch("../store.ftcm"), StoreError);
 
+  // A Range header is ignored: the whole object comes back with 200,
+  // including for a range whose bounds overflow 64 bits.
+  const std::string response = raw_exchange(
+      served.server.port(),
+      "GET /store.ftcm HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+      "Range: bytes=18446744073709551616-18446744073709551620\r\n"
+      "Connection: close\r\n\r\n");
+  EXPECT_EQ(response.rfind("HTTP/1.1 200 ", 0), 0u) << response.substr(0, 64);
+  const std::size_t body = response.find("\r\n\r\n");
+  ASSERT_NE(body, std::string::npos);
+  EXPECT_EQ(std::vector<std::uint8_t>(response.begin() + body + 4,
+                                      response.end()),
+            disk);
+
   const auto stats = served.server.stats();
-  EXPECT_GE(stats.requests, 5u);
-  EXPECT_GE(stats.range_requests, 1u);
-  EXPECT_GE(stats.not_found, 2u);
-  EXPECT_GT(stats.bytes_sent, disk.size());
+  EXPECT_GE(stats.requests, 6u);
+  EXPECT_GE(stats.not_found, 3u);
+  EXPECT_GT(stats.bytes_sent, 2 * disk.size());
 }
 
 TEST(ShardHttpSource, ConnectFailureIsTransient) {
@@ -236,6 +273,84 @@ TEST(ShardHttpSource, BadContentLengthFailsTyped) {
       // Typed: the retry/quarantine ladder handles it.
     } catch (const std::exception& e) {
       ADD_FAILURE() << length << ": untyped " << e.what();
+    }
+  }
+
+  // Seeded mutation sweep of the response parser over one valid 200
+  // with its body: bit flips, truncations, splices and length lies.
+  // Every fetch and stat must return or throw the typed ladder. One
+  // origin runs at a time.
+  std::string body;
+  for (int i = 0; i < 48; ++i) body.push_back(static_cast<char>(i * 37));
+  const std::string valid =
+      "HTTP/1.1 200 OK\r\nContent-Length: 48\r\n"
+      "Content-Type: application/octet-stream\r\nConnection: close\r\n\r\n" +
+      body;
+  const auto exchange = [](const std::string& response, bool use_stat) {
+    OneShotOrigin origin(response);
+    const HttpShardSource src("127.0.0.1", origin.port(), "/");
+    std::uint64_t size = 0;
+    if (use_stat) {
+      const bool present = src.stat("store.ftcm", &size);
+      return std::string(present ? "present " + std::to_string(size)
+                                 : "absent");
+    }
+    const auto got = src.fetch("store.ftcm");
+    return std::string(got.begin(), got.end());
+  };
+  ASSERT_EQ(exchange(valid, false), body);
+  ASSERT_EQ(exchange(valid, true), "present 48");
+
+  constexpr std::uint64_t kSweepSeed = 0x5eed0f7c;
+  constexpr int kMutations = 400;
+  SplitMix64 rng(kSweepSeed);
+  const std::size_t length_at = valid.find("48\r\n");
+  for (int i = 0; i < kMutations; ++i) {
+    std::string m = valid;
+    switch (i % 4) {
+      case 0:  // 1-4 bit flips anywhere
+        for (std::uint64_t f = 0, n = 1 + rng.next_below(4); f < n; ++f) {
+          m[rng.next_below(m.size())] ^=
+              static_cast<char>(1u << rng.next_below(8));
+        }
+        break;
+      case 1:  // cut short anywhere, head or body
+        m.resize(rng.next_below(m.size()));
+        break;
+      case 2: {  // a slice of the response spliced over another point
+        const std::size_t from = rng.next_below(valid.size());
+        const std::size_t len = 1 + rng.next_below(valid.size() - from);
+        const std::size_t at = rng.next_below(valid.size());
+        const std::size_t cut = rng.next_below(valid.size() - at + 1);
+        m = valid.substr(0, at) + valid.substr(from, len) +
+            valid.substr(at + cut);
+        break;
+      }
+      default: {  // the Content-Length value replaced by a lie
+        const std::string lies[] = {
+            std::to_string(rng.next()),
+            std::to_string(rng.next_below(96)),
+            "",
+            "-1",
+            "+48",
+            "4 8",
+            "0x30",
+            "99999999999999999999999999",
+            std::to_string(~std::uint64_t{0} - rng.next_below(4)),
+        };
+        m.replace(length_at, 2, lies[rng.next_below(std::size(lies))]);
+        break;
+      }
+    }
+    for (const bool use_stat : {false, true}) {
+      try {
+        (void)exchange(m, use_stat);
+      } catch (const StoreError&) {
+        // Typed (StoreError or its StoreIoError subclass).
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutation " << i << (use_stat ? " stat" : " fetch")
+                      << ": untyped " << e.what();
+      }
     }
   }
 }

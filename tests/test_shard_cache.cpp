@@ -1,5 +1,6 @@
-// ShardSource + ShardCache coverage: the transport and staging layers
-// under the remote serving tier.
+// ShardCache coverage (plus the client's URL parser): the staging layer
+// under the remote serving tier, filled over loopback HTTP from an
+// in-process ShardHttpServer — the transport RemoteStoreView uses.
 //
 // The cache's contract: a fetch returns a local path whose bytes are
 // verbatim the origin's shard (digest-verified against the manifest
@@ -23,6 +24,7 @@
 #include "core/connectivity_scheme.hpp"
 #include "core/label_store.hpp"
 #include "core/shard_cache.hpp"
+#include "core/shard_server.hpp"
 #include "core/shard_source.hpp"
 #include "core/sharded_store.hpp"
 #include "graph/generators.hpp"
@@ -82,16 +84,24 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
                                    std::istreambuf_iterator<char>());
 }
 
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
 bool file_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
 }
+
+// A loopback origin serving `dir`; source() is a client fetching from it.
+class LoopbackOrigin {
+ public:
+  explicit LoopbackOrigin(const ScratchDir& dir) : server_(dir.path()) {
+    server_.start();
+  }
+  HttpShardSource source() const {
+    return HttpShardSource("127.0.0.1", server_.port(), "/");
+  }
+
+ private:
+  ShardHttpServer server_;
+};
 
 // Builds a real K-shard store in `dir` and returns its manifest path;
 // the caller reads the records through ShardedStoreView::open.
@@ -102,45 +112,6 @@ std::string make_sharded_store(const ScratchDir& dir, unsigned k_shards,
   const std::string manifest = dir.file("store.ftcm");
   save_sharded(*scheme, manifest, k_shards);
   return manifest;
-}
-
-// ------------------------------------------------------------------
-// LocalDirShardSource: the transport contract against plain files.
-
-TEST(LocalDirShardSource, FetchStatAndRangeRoundTrip) {
-  ScratchDir dir("localsrc");
-  write_file(dir.file("obj"), "0123456789abcdef");
-  const LocalDirShardSource src(dir.path());
-
-  const auto all = src.fetch("obj");
-  EXPECT_EQ(std::string(all.begin(), all.end()), "0123456789abcdef");
-
-  const auto mid = src.fetch_range("obj", 4, 6);
-  EXPECT_EQ(std::string(mid.begin(), mid.end()), "456789");
-
-  std::uint64_t size = 0;
-  EXPECT_TRUE(src.stat("obj", &size));
-  EXPECT_EQ(size, 16u);
-  EXPECT_FALSE(src.stat("absent", &size));
-
-  EXPECT_EQ(src.describe("obj"), dir.path() + "/obj");
-}
-
-TEST(LocalDirShardSource, MissingObjectAndBadRangeAreStructural) {
-  ScratchDir dir("localsrc_err");
-  write_file(dir.file("obj"), "abc");
-  const LocalDirShardSource src(dir.path());
-  // Not-found and past-end are structural (plain StoreError): retrying
-  // cannot conjure the bytes, so they must not match the retry filter.
-  EXPECT_THROW((void)src.fetch("absent"), StoreError);
-  EXPECT_THROW((void)src.fetch_range("obj", 2, 5), StoreError);
-  try {
-    (void)src.fetch("absent");
-    FAIL() << "expected StoreError";
-  } catch (const StoreIoError&) {
-    FAIL() << "not-found must not be the retryable subclass";
-  } catch (const StoreError&) {
-  }
 }
 
 // ------------------------------------------------------------------
@@ -182,7 +153,8 @@ TEST(ShardCache, MissFetchesVerbatimBytesThenHits) {
   ScratchDir cache_dir("cache_dir");
   const std::string manifest = make_sharded_store(store_dir, 4);
   const auto view = ShardedStoreView::open(manifest);
-  const LocalDirShardSource src(store_dir.path());
+  const LoopbackOrigin origin(store_dir);
+  const HttpShardSource src = origin.source();
   ShardCache cache(cache_dir.path(), 0);
 
   for (const auto& rec : view->shards()) {
@@ -212,7 +184,8 @@ TEST(ShardCache, DigestMismatchIsTransientAndPublishesNothing) {
   ScratchDir cache_dir("cache_digest_c");
   const std::string manifest = make_sharded_store(store_dir, 2);
   const auto view = ShardedStoreView::open(manifest);
-  const LocalDirShardSource src(store_dir.path());
+  const LoopbackOrigin origin(store_dir);
+  const HttpShardSource src = origin.source();
   ShardCache cache(cache_dir.path(), 0);
 
   {
@@ -235,7 +208,8 @@ TEST(ShardCache, SizeMismatchAgainstRecordIsTransient) {
   ScratchDir cache_dir("cache_size_c");
   const std::string manifest = make_sharded_store(store_dir, 2);
   const auto view = ShardedStoreView::open(manifest);
-  const LocalDirShardSource src(store_dir.path());
+  const LoopbackOrigin origin(store_dir);
+  const HttpShardSource src = origin.source();
   ShardCache cache(cache_dir.path(), 0);
 
   store::ShardRecord lying = view->shards()[0];
@@ -249,7 +223,8 @@ TEST(ShardCache, EvictsLruUnderByteBudget) {
   ScratchDir cache_dir("cache_evict_c");
   const std::string manifest = make_sharded_store(store_dir, 4);
   const auto view = ShardedStoreView::open(manifest);
-  const LocalDirShardSource src(store_dir.path());
+  const LoopbackOrigin origin(store_dir);
+  const HttpShardSource src = origin.source();
 
   // Budget sized for roughly two shards: fetching all four must evict.
   const std::uint64_t two_shards =
@@ -279,7 +254,8 @@ TEST(ShardCache, EvictionNeverInvalidatesLiveMmaps) {
   ScratchDir cache_dir("cache_pin_c");
   const std::string manifest = make_sharded_store(store_dir, 4);
   const auto view = ShardedStoreView::open(manifest);
-  const LocalDirShardSource src(store_dir.path());
+  const LoopbackOrigin origin(store_dir);
+  const HttpShardSource src = origin.source();
   ShardCache cache(cache_dir.path(), view->shards()[0].file_bytes + 16);
 
   // Map the cached shard, then force its eviction with later fetches.
@@ -304,7 +280,8 @@ TEST(ShardCache, StartupRescanAdoptsSurvivingFiles) {
   ScratchDir cache_dir("cache_rescan_c");
   const std::string manifest = make_sharded_store(store_dir, 3);
   const auto view = ShardedStoreView::open(manifest);
-  const LocalDirShardSource src(store_dir.path());
+  const LoopbackOrigin origin(store_dir);
+  const HttpShardSource src = origin.source();
   {
     ShardCache first(cache_dir.path(), 0);
     for (const auto& rec : view->shards()) (void)first.fetch_shard(src, rec);
@@ -359,7 +336,8 @@ TEST(ShardCacheConcurrency, ConcurrentFetchEvictQueryStaysConsistent) {
   ScratchDir cache_dir("cache_mt_c");
   const std::string manifest = make_sharded_store(store_dir, 4);
   const auto view = ShardedStoreView::open(manifest);
-  const LocalDirShardSource src(store_dir.path());
+  const LoopbackOrigin origin(store_dir);
+  const HttpShardSource src = origin.source();
   // Room for ~2 of 4 shards: every round of fetches evicts someone.
   ShardCache cache(cache_dir.path(),
                    view->shards()[0].file_bytes * 2 + 64);

@@ -27,7 +27,6 @@
 #include "core/batch_engine.hpp"
 #include "core/connectivity_scheme.hpp"
 #include "core/label_store.hpp"
-#include "core/oracle.hpp"
 #include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -224,14 +223,13 @@ TEST_P(ShardedStoreParity, MergeBackToContainerIsByteIdentical) {
   EXPECT_EQ(read_file(flat.path()), read_file(merged.path()));
 }
 
-TEST_P(ShardedStoreParity, OracleFromManifestServesMixedFaults) {
+TEST_P(ShardedStoreParity, SchemeFromManifestServesMixedFaults) {
   const Graph g = graph::barbell(8, 3);
   const auto scheme = make_scheme(g, test_config(GetParam(), 10));
-  ManifestFile manifest("oracle_" + std::to_string(static_cast<int>(GetParam())));
+  ManifestFile manifest("mixed_" + std::to_string(static_cast<int>(GetParam())));
   save_sharded(*scheme, manifest.path(), 4);
-  const ConnectivityOracle oracle =
-      ConnectivityOracle::from_store(manifest.path());
-  EXPECT_TRUE(oracle.supports_vertex_faults());
+  const auto loaded = load_scheme(manifest.path());
+  EXPECT_NE(loaded->adjacency(), nullptr);
   SplitMix64 rng(5);
   for (int it = 0; it < 20; ++it) {
     std::vector<EdgeId> edge_faults;
@@ -246,7 +244,7 @@ TEST_P(ShardedStoreParity, OracleFromManifestServesMixedFaults) {
     const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
     const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
     EXPECT_EQ(
-        oracle.connected(s, t, FaultSpec::of(edge_faults, vertex_faults)),
+        loaded->connected(s, t, FaultSpec::of(edge_faults, vertex_faults)),
         graph::connected_avoiding(g, s, t, edge_faults, vertex_faults))
         << "it=" << it;
   }

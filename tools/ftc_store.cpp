@@ -504,26 +504,16 @@ int cmd_fsck(int argc, char** argv) {
     return 1;
   }
 
-  // Sniff the magic ourselves (open_store_view's sharded open is the
+  // Sniff the magic first (open_store_view's sharded open is the
   // STRICT one, which aborts on the first damaged shard file — exactly
   // what fsck must not do): a manifest goes through open_degraded so
   // one dead shard leaves the others scannable.
   std::uint64_t magic = 0;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      std::printf("fsck %s: FAILED: cannot open (%s)\n", path.c_str(),
-                  std::strerror(errno));
-      return 2;
-    }
-    std::uint8_t buf[8] = {};
-    const std::size_t got = std::fread(buf, 1, sizeof(buf), f);
-    std::fclose(f);
-    if (got < sizeof(buf)) {
-      std::printf("fsck %s: FAILED: truncated (no magic)\n", path.c_str());
-      return 2;
-    }
-    for (int i = 0; i < 8; ++i) magic |= std::uint64_t{buf[i]} << (8 * i);
+  try {
+    magic = core::read_store_magic(path);
+  } catch (const core::StoreError& e) {
+    std::printf("fsck %s: FAILED: %s\n", path.c_str(), e.what());
+    return 2;
   }
 
   std::size_t damaged = 0;
@@ -937,9 +927,8 @@ int cmd_serve(int argc, char** argv) {
   const auto stats = server.stats();
   std::fprintf(stderr,
                "serve: stopped on signal %d after %llu request(s) "
-               "(%llu range, %llu not found, %llu bytes sent)\n",
+               "(%llu not found, %llu bytes sent)\n",
                sig, static_cast<unsigned long long>(stats.requests),
-               static_cast<unsigned long long>(stats.range_requests),
                static_cast<unsigned long long>(stats.not_found),
                static_cast<unsigned long long>(stats.bytes_sent));
   return 0;
